@@ -3,11 +3,9 @@
 The package constructs (n, n-r, ell) array codes from subspace families,
 finds their optimal linear repair bandwidth and I/O by exhaustive search,
 checks both against the projective counting bound, and simulates the
-repair of an erased node symbol by symbol.  Everything runs over lookup
-table fields GF(q), q <= 256, with a compiled elimination kernel when the
-extension is built and a pure Python twin when it is not.
+repair of an erased node symbol by symbol.  Everything runs in pure
+Python over lookup table fields GF(q), q <= 256.
 """
-from ._kernel import BACKEND
 from .code import (
     ArrayCode,
     CodewordArr,
@@ -87,3 +85,6 @@ from .repair import (
 from .sim import RepairTrace, erase_and_repair, sample_codeword
 
 __version__ = "0.1.0"
+# The row reduction kernel is always the pure Python one; result files
+# stamp this name.
+BACKEND = "pure"

@@ -1,19 +1,78 @@
-"""Kernel backend selection.
+"""Row reduction kernels over lookup table fields.
 
-The compiled extension is used when present.  Setting MDSREPAIR_PURE_KERNEL=1
-forces the pure Python fallback, which is also what you get when the
-extension was never built.
+Matrices live in flat bytearrays, row major, entries encoded as field
+element codes in [0, q).  Arithmetic arrives as flat lookup tables:
+sub[a*q + b] = a - b, mul[a*q + b] = a * b, inv[a] = 1/a (inv[0] unused).
+Both kernels destroy the buffer contents.
 """
-import os
 
-if os.environ.get("MDSREPAIR_PURE_KERNEL") == "1":
-    from . import pure as _backend
-else:
-    try:
-        from . import _fast as _backend  # type: ignore[no-redef]
-    except ImportError:
-        from . import pure as _backend
 
-BACKEND = "pure" if _backend.__name__.endswith("pure") else "compiled"
-rre_rank = _backend.rre_rank
-rref_rank = _backend.rref_rank
+def rre_rank(buf, rows, cols, q, sub, mul, inv):
+    """Row echelon form in place, returns the rank.
+
+    Rows at index >= rank hold elimination residue, not meaningful data.
+    """
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        piv = -1
+        for r in range(rank, rows):
+            if buf[r * cols + col]:
+                piv = r
+                break
+        if piv < 0:
+            continue
+        if piv != rank:
+            a = piv * cols
+            b = rank * cols
+            for j in range(col, cols):
+                buf[a + j], buf[b + j] = buf[b + j], buf[a + j]
+        base = rank * cols
+        pinv = inv[buf[base + col]]
+        for r in range(rank + 1, rows):
+            off = r * cols
+            f = mul[buf[off + col] * q + pinv]
+            if f:
+                for j in range(col, cols):
+                    buf[off + j] = sub[buf[off + j] * q + mul[f * q + buf[base + j]]]
+        rank += 1
+    return rank
+
+
+def rref_rank(buf, rows, cols, q, sub, mul, inv):
+    """Reduced row echelon form in place, returns the rank.
+
+    After the call rows 0..rank-1 are the canonical reduced basis of the
+    row space (pivots 1, pivot columns cleared) and all later rows are zero.
+    """
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        piv = -1
+        for r in range(rank, rows):
+            if buf[r * cols + col]:
+                piv = r
+                break
+        if piv < 0:
+            continue
+        base = rank * cols
+        if piv != rank:
+            a = piv * cols
+            for j in range(col, cols):
+                buf[a + j], buf[base + j] = buf[base + j], buf[a + j]
+        pinv = inv[buf[base + col]]
+        if pinv != 1 or buf[base + col] != 1:
+            for j in range(col, cols):
+                buf[base + j] = mul[buf[base + j] * q + pinv]
+        for r in range(rows):
+            if r == rank:
+                continue
+            off = r * cols
+            f = buf[off + col]
+            if f:
+                for j in range(col, cols):
+                    buf[off + j] = sub[buf[off + j] * q + mul[f * q + buf[base + j]]]
+        rank += 1
+    return rank

@@ -3,7 +3,8 @@
 Exit codes separate operational trouble from mathematical trouble: 0
 means the requested check or report succeeded, 2 means a verification
 ran and failed (a real counterexample or a corrupted input code), and 1
-means the invocation itself was unusable (bad flags, unreadable files).
+means the invocation itself was unusable (bad flags, unreadable files,
+a budget too small for the search).
 """
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ from .constructions import (
     regular_spread_converse_check,
 )
 from .geometry import INF, desarguesian_spread, is_regular_spread, is_spread, regulus_through
-from .linalg import DEFAULT_ENUM_BUDGET
+from .linalg import DEFAULT_ENUM_BUDGET, BudgetExceededError
 from .repair import (
     RepairReport,
+    SamplingExhaustedError,
     counting_bound,
     optimal_alpha,
     repair_report,
@@ -422,7 +424,7 @@ def run(argv: list[str] | None = None) -> int:
             return exc.code
         print(f"mdsrepair: error: {exc.code}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, BudgetExceededError, SamplingExhaustedError) as exc:
         print(f"mdsrepair: error: {exc}", file=sys.stderr)
         return 1
 

@@ -163,7 +163,9 @@ def rref(mat: MatrixGF) -> tuple[MatrixGF, int]:
 class Subspace:
     """A subspace of F_q^d held as its canonical reduced row echelon basis."""
 
-    __slots__ = ("field", "ambient_dim", "dim", "entries", "pivots", "packed", "_hash")
+    __slots__ = (
+        "field", "ambient_dim", "dim", "entries", "pivots", "packed", "_hash", "_point_mask"
+    )
 
     def __init__(
         self,
@@ -180,6 +182,7 @@ class Subspace:
         self.pivots = pivots
         self.packed = bytes(entries)
         self._hash = hash((field.q, ambient_dim, entries))
+        self._point_mask: int | None = None
 
     @classmethod
     def from_rows(cls, field: FieldCtx, ambient_dim: int, rows: Iterable[Sequence[int]]) -> Subspace:
@@ -217,6 +220,18 @@ class Subspace:
     def basis_rows(self) -> list[tuple[int, ...]]:
         d = self.ambient_dim
         return [self.entries[i * d : (i + 1) * d] for i in range(self.dim)]
+
+    @property
+    def point_mask(self) -> int:
+        """Bitmask of the projective points of this subspace, computed once.
+
+        Bits come from the point index of (field, ambient_dim), so
+        (u.point_mask & v.point_mask).bit_count() is the number of points
+        of U meet V.
+        """
+        if self._point_mask is None:
+            self._point_mask = points_mask(self.field, self.ambient_dim, _point_vectors(self))
+        return self._point_mask
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.ambient_dim:
@@ -444,26 +459,55 @@ def proj_point(field: FieldCtx, vec: Sequence[int]) -> ProjPoint:
     return ProjPoint(field, tuple(v))
 
 
-def projective_points(space: Subspace) -> tuple[ProjPoint, ...]:
-    """The points of P(space), each normalized, in a fixed order.
+def _point_vectors(space: Subspace) -> list[tuple[int, ...]]:
+    """Normalised representatives of the points of P(space), in a fixed order.
 
-    Coefficient vectors with leading coefficient 1 are walked in
-    lexicographic order; combined with the reduced basis this yields each
-    point exactly once with its representative already normalized.
+    The points with leading coefficient on basis row i are row i plus every
+    combination of the later rows.  Leads run in increasing order and the
+    later coefficients in lexicographic order, so each point appears once,
+    already normalised because the basis is reduced.
     """
     f = space.field
     q = f.q
-    d = space.ambient_dim
-    s = space.dim
-    out = []
-    for lead in range(s):
-        for tail in itertools.product(range(q), repeat=s - lead - 1):
-            coeff = (0,) * lead + (1,) + tail
-            vec = [0] * d
-            for i, c in enumerate(coeff):
-                if c:
-                    base = i * d
-                    for j in range(d):
-                        vec[j] = f.add(vec[j], f.mul(c, space.entries[base + j]))
-            out.append(ProjPoint(f, tuple(vec)))
-    return tuple(out)
+    add, mul = f.add_tab, f.mul_tab
+    rows = space.basis_rows()
+    tails = [(0,) * space.ambient_dim]  # combinations of the rows after row i
+    groups = []
+    for i in range(space.dim - 1, -1, -1):
+        row = rows[i]
+        pts = [tuple([add[a * q + b] for a, b in zip(row, t)]) for t in tails]
+        groups.append(pts)
+        if i:
+            scaled = [tuple([mul[c * q + a] for a in row]) for c in range(2, q)]
+            tails = tails + pts + [
+                tuple([add[a * q + b] for a, b in zip(m, t)]) for m in scaled for t in tails
+            ]
+    return [p for g in reversed(groups) for p in g]
+
+
+@functools.lru_cache(maxsize=None)
+def _point_index(field: FieldCtx, ambient_dim: int) -> dict[tuple[int, ...], int]:
+    """Bit of each normalised point of F_q^ambient_dim met so far.
+
+    Bits are handed out on first sight and never change, so masks built at
+    different times over one ambient space stay comparable; the index only
+    holds points some mask has used.
+    """
+    return {}
+
+
+def points_mask(field: FieldCtx, ambient_dim: int, reps: Iterable[tuple[int, ...]]) -> int:
+    """Bitmask of the given normalised point representatives."""
+    index = _point_index(field, ambient_dim)
+    mask = 0
+    for rep in reps:
+        bit = index.get(rep)
+        if bit is None:
+            bit = index[rep] = 1 << len(index)
+        mask |= bit
+    return mask
+
+
+def projective_points(space: Subspace) -> tuple[ProjPoint, ...]:
+    """The points of P(space), each normalized, in a fixed order."""
+    return tuple(ProjPoint(space.field, v) for v in _point_vectors(space))

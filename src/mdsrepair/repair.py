@@ -13,12 +13,13 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._kernel import rre_rank
 from .code import ArrayCode, code_from_intrinsic, is_mds
 from .gf import FieldCtx
 from .linalg import (
+    _CACHE_LIMIT,
     BudgetExceededError,
     DEFAULT_ENUM_BUDGET,
     MatrixGF,
@@ -28,14 +29,12 @@ from .linalg import (
     gaussian_binomial,
     intersect_dim,
     kernel,
+    points_mask,
     projective_point_count,
-    projective_points,
     rank,
 )
 
 log = logging.getLogger(__name__)
-
-_CAND_CACHE_LIMIT = 500_000
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -130,42 +129,42 @@ def repair_matrix_from_subspace(w: Subspace, hi: Subspace) -> MatrixGF:
     return kernel(w.basis_matrix).basis_matrix
 
 
-def _point_reps(space: Subspace) -> frozenset[tuple[int, ...]]:
-    return frozenset(p.representative for p in projective_points(space))
+def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
+    """Per node intersection dimensions and captured column point counts.
 
-
-_point_rep_cache: dict[Subspace, frozenset[tuple[int, ...]]] = {}
-
-
-def _cached_point_reps(space: Subspace) -> frozenset[tuple[int, ...]]:
-    reps = _point_rep_cache.get(space)
-    if reps is None:
-        if len(_point_rep_cache) > 1 << 20:
-            _point_rep_cache.clear()
-        reps = _point_reps(space)
-        _point_rep_cache[space] = reps
-    return reps
-
-
-def _profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
-    """Per node intersection dimensions and captured column point counts."""
-    f = code.field
-    q = f.q
-    sub_t, mul_t, inv_t = f.sub_tab, f.mul_tab, f.inv_tab
-    d = code.ambient_dim
-    wp = w.packed
-    wd = w.dim
-    dims = []
-    for h in code.node_subspaces:
-        buf = bytearray(wp)
-        buf += h.packed
-        r = rre_rank(buf, wd + h.dim, d, q, sub_t, mul_t, inv_t)
-        dims.append(wd + h.dim - r)
-    wreps = _cached_point_reps(w)
+    The oracle for the mask scan: dimensions come from row reduction and
+    captured points from membership tests of each column point.
+    """
+    dims = [intersect_dim(w, h) for h in code.node_subspaces]
     zs = [
-        sum(p.representative in wreps for p in plist) for plist in code.column_points
+        sum(w.contains_vector(p.representative) for p in plist)
+        for plist in code.column_points
     ]
     return dims, zs
+
+
+def _mask_profiler(code: ArrayCode) -> Callable[[Subspace], tuple[list[int], list[int]]]:
+    """The profile of _rank_profile, computed from projective point masks.
+
+    W meet H_j is a subspace, so its point count (q^t - 1)/(q - 1) fixes its
+    dimension t; the captured column points are W's points among C_j.
+    """
+    f = code.field
+    node_masks = [h.point_mask for h in code.node_subspaces]
+    col_masks = [
+        points_mask(f, code.ambient_dim, (p.representative for p in plist))
+        for plist in code.column_points
+    ]
+    dim_of = {projective_point_count(t, f.q): t for t in range(code.ell + 1)}
+
+    def profile(w: Subspace) -> tuple[list[int], list[int]]:
+        wm = w.point_mask
+        return (
+            [dim_of[(wm & h).bit_count()] for h in node_masks],
+            [(wm & c).bit_count() for c in col_masks],
+        )
+
+    return profile
 
 
 def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
@@ -174,7 +173,7 @@ def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
         raise ValueError("repair subspace does not match the code")
     if w.dim != (code.r - 1) * code.ell:
         raise ValueError("repair subspace must have dimension (r-1)*ell")
-    dims, zs = _profile(code, w)
+    dims, zs = _rank_profile(code, w)
     if dims[node] != 0:
         raise ValueError("repair subspace meets the failed node's subspace")
     helpers = [j for j in range(code.n) if j != node]
@@ -189,6 +188,16 @@ def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
         bw=bw,
         io=io,
     )
+
+
+def _checked_witness(
+    code: ArrayCode, node: int, w: Subspace, cost: str, saving: int
+) -> RepairWitness:
+    """make_witness, asserting that its rank-oracle cost matches the scan's saving."""
+    wit = make_witness(code, node, w)
+    if getattr(wit, cost) != code.ell * (code.n - 1) - saving:
+        raise AssertionError(f"node {node}: the mask scan and the rank oracle disagree on {cost}")
+    return wit
 
 
 def bw_of_scheme(code: ArrayCode, node: int, m: MatrixGF) -> int:
@@ -217,16 +226,13 @@ def io_of_scheme(code: ArrayCode, node: int, m: MatrixGF) -> int:
     if rank(m.mul(code.blocks[node])) != code.ell:
         raise ValueError("M H_i must be invertible for the failed node")
     w = kernel(m)
-    wreps = _cached_point_reps(w)
     total = 0
     for j in range(code.n):
         if j == node:
             continue
         prod = m.mul(code.blocks[j])
         nonzero = sum(1 for t in range(prod.cols) if any(prod.col(t)))
-        captured = sum(
-            p.representative in wreps for p in code.column_points[j]
-        )
+        captured = sum(w.contains_vector(p.representative) for p in code.column_points[j])
         if nonzero != code.ell - captured:
             raise AssertionError("matrix and subspace access forms disagree")
         total += nonzero
@@ -236,7 +242,7 @@ def io_of_scheme(code: ArrayCode, node: int, m: MatrixGF) -> int:
 def _candidate_spaces(code: ArrayCode, budget: int) -> tuple[Iterable[Subspace], int]:
     wdim = (code.r - 1) * code.ell
     total = gaussian_binomial(code.ambient_dim, wdim, code.field.q)
-    if total <= min(budget, _CAND_CACHE_LIMIT):
+    if total <= min(budget, _CACHE_LIMIT):
         return all_subspaces(code.field, code.ambient_dim, wdim), total
     return (
         enumerate_subspaces(code.field, code.ambient_dim, wdim, budget=None),
@@ -255,6 +261,7 @@ def _scan(
     objective.  Scans min(budget, total) candidates.
     """
     cands, total = _candidate_spaces(code, budget)
+    profile = _mask_profiler(code)
     best_dim: dict[int, tuple[int, Subspace]] = {}
     best_pts: dict[int, tuple[int, Subspace]] = {}
     anomalies: list[str] = []
@@ -263,7 +270,7 @@ def _scan(
         if scanned == budget:
             break
         scanned += 1
-        dims, zs = _profile(code, w)
+        dims, zs = profile(w)
         for j in range(code.n):
             if zs[j] > dims[j]:
                 msg = (
@@ -324,7 +331,7 @@ def optimal_alpha(
     if node not in best_dim:
         raise AssertionError("no feasible repair subspace exists for an MDS code node")
     alpha, w = best_dim[node]
-    witness = make_witness(code, node, w)
+    witness = _checked_witness(code, node, w, "bw", alpha)
     _check_node_invariants(code, node, alpha, witness, cap)
     return alpha, witness
 
@@ -341,7 +348,7 @@ def optimal_lambda(
     if node not in best_pts:
         raise AssertionError("no feasible repair subspace exists for an MDS code node")
     lam, w = best_pts[node]
-    return lam, make_witness(code, node, w)
+    return lam, _checked_witness(code, node, w, "io", lam)
 
 
 def _require_repairable(code: ArrayCode, node: int | None = None) -> None:
@@ -379,8 +386,8 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
             raise AssertionError(
                 f"node {i}: captured points {lam} exceed intersection total {alpha}"
             )
-        wit_a = make_witness(code, i, wa)
-        wit_l = make_witness(code, i, wl)
+        wit_a = _checked_witness(code, i, wa, "bw", alpha)
+        wit_l = _checked_witness(code, i, wl, "io", lam)
         beta = code.ell * (code.n - 1) - alpha
         gamma = code.ell * (code.n - 1) - lam
         if exhaustive:

@@ -198,6 +198,20 @@ def test_simulate_repair(capsys, tmp_path):
     assert code == 1
 
 
+def test_budget_too_small_is_exit_1_without_traceback(tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(serialize(build_two_parity_code(3, 2, 8)[0]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdsrepair.cli", "simulate", "repair",
+         "--code", str(path), "--node", "0", "--budget", "5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "mdsrepair: error: 130 candidates exceed the budget of 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_stdin_pipe_between_subcommands():
     construct = subprocess.run(
         [sys.executable, "-m", "mdsrepair.cli", "construct", "exceptional", "--case", "q4n9"],

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mdsrepair._kernel import rre_rank, rref_rank
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import (
     MatrixGF,
@@ -210,26 +211,19 @@ def test_proj_point_normalizes_scalar_multiples():
         proj_point(field, (0, 0, 0))
 
 
-def test_backends_agree():
-    try:
-        from mdsrepair._kernel import _fast
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    from mdsrepair._kernel import pure
-
-    rng = random.Random(16)
-    for q in (2, 3, 4, 5, 9):
-        field = field_of_order(q)
-        sub = bytes(field.sub(a, b) for a in range(q) for b in range(q))
-        mul = bytes(field.mul(a, b) for a in range(q) for b in range(q))
-        inv = bytes([0]) + bytes(field.inv(a) for a in range(1, q))
-        for _ in range(30):
-            rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
-            data = bytes(rng.randrange(q) for _ in range(rows * cols))
-            for fn_name in ("rre_rank", "rref_rank"):
-                buf_a, buf_b = bytearray(data), bytearray(data)
-                ra = getattr(_fast, fn_name)(buf_a, rows, cols, q, sub, mul, inv)
-                rb = getattr(pure, fn_name)(buf_b, rows, cols, q, sub, mul, inv)
-                assert ra == rb
-                if fn_name == "rref_rank":
-                    assert buf_a[: ra * cols] == buf_b[: ra * cols]
+def test_row_reduction_kernels_fixed_answers():
+    cases = (
+        # q, rows, cols, entries, rank, reduced nonzero rows
+        (2, 2, 2, (0, 1, 1, 1), 2, (1, 0, 0, 1)),
+        (3, 3, 3, (1, 2, 0, 2, 1, 0, 0, 1, 1), 2, (1, 0, 1, 0, 1, 1)),
+        (5, 2, 2, (2, 4, 1, 2), 1, (1, 2)),
+        (5, 0, 3, (), 0, ()),
+    )
+    for q, rows, cols, entries, r, reduced in cases:
+        f = field_of_order(q)
+        tabs = (q, f.sub_tab, f.mul_tab, f.inv_tab)
+        assert rre_rank(bytearray(entries), rows, cols, *tabs) == r
+        buf = bytearray(entries)
+        assert rref_rank(buf, rows, cols, *tabs) == r
+        assert tuple(buf[: r * cols]) == reduced
+        assert not any(buf[r * cols :])

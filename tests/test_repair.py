@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mdsrepair.code import code_from_intrinsic
+from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import (
@@ -13,6 +14,8 @@ from mdsrepair.linalg import (
     rank,
 )
 from mdsrepair.repair import (
+    _mask_profiler,
+    _rank_profile,
     bw_of_scheme,
     counting_bound,
     io_of_scheme,
@@ -152,6 +155,20 @@ def test_optimal_lambda_never_exceeds_alpha():
             lam, wit = optimal_lambda(code, node)
             assert lam <= alpha
             assert wit.io == code.ell * (code.n - 1) - lam
+
+
+def test_mask_scan_matches_rank_oracle():
+    rng = random.Random(35)
+    codes = [build_exceptional(case)[0] for case in ("q3n6", "q3n7", "q4n9")]
+    codes.append(build_two_parity_code(3, 2, 8)[0])
+    for q, ell, r in ((2, 2, 3), (2, 3, 2)):
+        for n in (r + 1, r + 3):
+            codes.append(random_mds_code(field_of_order(q), r, ell, n, rng))
+    for code in codes:
+        profile = _mask_profiler(code)
+        wdim = (code.r - 1) * code.ell
+        for w in all_subspaces(code.field, code.ambient_dim, wdim):
+            assert profile(w) == _rank_profile(code, w)
 
 
 def test_budget_errors():
