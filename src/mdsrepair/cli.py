@@ -2,9 +2,10 @@
 
 Exit codes separate operational trouble from mathematical trouble: 0
 means the requested check or report succeeded, 2 means a verification
-ran and failed (a real counterexample or a corrupted input code), and 1
-means the invocation itself was unusable (bad flags, unreadable files,
-a budget too small for the search).
+ran and failed (a real counterexample, a corrupted input code, or one of
+the package's internal cross-checks), and 1 means the invocation itself
+was unusable (bad flags, unreadable files, a budget too small for the
+search).
 """
 from __future__ import annotations
 
@@ -76,11 +77,11 @@ def _verdict(ok: bool) -> str:
 def _load_code(path: str | None) -> ArrayCode:
     try:
         text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"cannot read code file: {exc}")
     try:
         return deserialize(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"not a readable code file: {exc}")
 
 
@@ -180,7 +181,7 @@ def _parse_label(token: str):
 def _read_family(path: str) -> list[frozenset]:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"cannot read family file: {exc}")
     blocks = []
     for line in text.splitlines():
@@ -427,6 +428,10 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, BudgetExceededError, SamplingExhaustedError) as exc:
         print(f"mdsrepair: error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        detail = str(exc) or "internal assertion"
+        print(f"mdsrepair: verification failed: {detail}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -142,6 +142,8 @@ def code_from_blocks(field: FieldCtx, blocks: Sequence[MatrixGF]) -> ArrayCode:
         raise ValueError("need at least one block")
     ambient = blocks[0].rows
     ell = blocks[0].cols
+    if ell < 1:
+        raise ValueError("blocks must have at least one column")
     subspaces = []
     points = []
     for b in blocks:
@@ -246,21 +248,39 @@ def serialize(code: ArrayCode) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _json_ints(value: object, depth: int, what: str) -> int | list:
+    """value, checked to be lists nested depth deep around JSON integers."""
+    if depth == 0:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"{what} must hold integers, not {value!r}")
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list nested {depth} deep")
+    return [_json_ints(v, depth - 1, what) for v in value]
+
+
 def deserialize(text: str) -> ArrayCode:
+    """Parse a code file written by serialize; any malformed input raises ValueError."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     try:
         fld = payload["field"]
-        field = make_field(int(fld["p"]), int(fld["m"]), tuple(fld["modulus"]))
-        n = int(payload["n"])
-        k = int(payload["k"])
-        ell = int(payload["ell"])
+        p, m, modulus = fld["p"], fld["m"], fld["modulus"]
+        n, k, ell = payload["n"], payload["k"], payload["ell"]
         block_rows = payload["blocks"]
         point_rows = payload["column_points"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing or malformed field: {exc}") from exc
+    field = make_field(
+        _json_ints(p, 0, "field.p"),
+        _json_ints(m, 0, "field.m"),
+        _json_ints(modulus, 1, "field.modulus"),
+    )
+    n, k, ell = (_json_ints(v, 0, name) for v, name in ((n, "n"), (k, "k"), (ell, "ell")))
+    block_rows = _json_ints(block_rows, 3, "blocks")
+    point_rows = _json_ints(point_rows, 3, "column_points")
     if len(block_rows) != n or len(point_rows) != n:
         raise ValueError("blocks and column_points must list one entry per node")
     blocks = [MatrixGF.from_rows(field, rows) for rows in block_rows]

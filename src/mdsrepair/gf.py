@@ -244,12 +244,14 @@ def make_field(
     The modulus is given low to high including the leading 1, and defaults
     to the monic irreducible of degree m whose encoding is smallest.
     """
+    if p > size_cap:  # also keeps the trial division below short
+        raise ValueError(f"field size {p}^{m} exceeds cap {size_cap}")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"m = {m} must be positive")
-    if p**m > size_cap:
-        raise ValueError(f"field size {p**m} exceeds cap {size_cap}")
+    if m >= size_cap.bit_length() or p**m > size_cap:
+        raise ValueError(f"field size {p}^{m} exceeds cap {size_cap}")
     if modulus is None:
         mod = _default_modulus(p, m)
     else:

@@ -13,9 +13,10 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from ._kernel import rre_rank
 from .code import ArrayCode, code_from_intrinsic, is_mds
 from .gf import FieldCtx
 from .linalg import (
@@ -32,6 +33,7 @@ from .linalg import (
     points_mask,
     projective_point_count,
     rank,
+    subspace_sum,
 )
 
 log = logging.getLogger(__name__)
@@ -445,39 +447,43 @@ def random_mds_code(
 
     Walks the candidate subspaces in a random order, keeping each one that
     stays r-wise independent with the family so far; whole-family rejection
-    sampling would almost never terminate at the rarer parameters.  The
-    finished family is still verified by the full MDS check.
+    sampling would almost never terminate at the rarer parameters.  A
+    candidate is independent of r-1 members exactly when it shares no
+    projective point with their span, so the walk keeps `forbidden`, the
+    union of the point masks of all spans of r-1 members, and a candidate
+    joins when its point mask misses it.  The first r-1 members join
+    unchecked; if they span less than (r-1)*ell, no candidate can join them
+    and the attempt ends there.  Each attempt makes one rng.shuffle.  The
+    finished family is still verified by is_mds, whose rank-based check
+    stays the independent oracle.
     """
     if r < 2:
         raise ValueError("need r >= 2")
     if n < r:
         raise ValueError("need n >= r")
     pool = all_subspaces(field, r * ell, ell)
-    f = field
-    sub_t, mul_t, inv_t = f.sub_tab, f.mul_tab, f.inv_tab
-    d = r * ell
-
-    def compatible(family: list[Subspace], cand: Subspace) -> bool:
-        from itertools import combinations
-
-        for group in combinations(family, r - 1):
-            buf = bytearray(cand.packed)
-            for g in group:
-                buf += g.packed
-            if rre_rank(buf, r * ell, d, f.q, sub_t, mul_t, inv_t) != d:
-                return False
-        return True
-
+    span_dim = (r - 1) * ell
     for _ in range(retry_cap):
         order = list(range(len(pool)))
         rng.shuffle(order)
         family: list[Subspace] = []
+        forbidden = 0
         for idx in order:
             cand = pool[idx]
-            if len(family) < r - 1 or compatible(family, cand):
-                family.append(cand)
-                if len(family) == n:
+            if cand.point_mask & forbidden:
+                continue
+            # spans through cand start once it makes r-1 members; the last needs none
+            if len(family) >= r - 2 and len(family) + 1 < n:
+                spans = [
+                    reduce(subspace_sum, group, cand) for group in combinations(family, r - 2)
+                ]
+                if any(s.dim < span_dim for s in spans):
                     break
+                for s in spans:
+                    forbidden |= s.point_mask
+            family.append(cand)
+            if len(family) == n:
+                break
         if len(family) < n:
             continue
         code = code_from_intrinsic(tuple(family))

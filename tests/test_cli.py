@@ -4,9 +4,14 @@ import json
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from mdsrepair import cli
 from mdsrepair.cli import run
-from mdsrepair.code import deserialize, serialize
+from mdsrepair.code import code_from_intrinsic, deserialize, serialize
 from mdsrepair.constructions import build_two_parity_code
+from mdsrepair.geometry import desarguesian_spread
 
 
 def _run(capsys, argv):
@@ -212,6 +217,17 @@ def test_budget_too_small_is_exit_1_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_internal_check_failure_is_exit_2_without_traceback(capsys, monkeypatch):
+    def broken(cfg):
+        raise AssertionError("matrix and subspace MDS forms disagree")
+
+    monkeypatch.setitem(cli._HANDLERS, "bound", broken)
+    code, out, err = _run(capsys, ["bound", "--n", "6", "--r", "2", "--ell", "2", "--q", "3"])
+    assert code == 2
+    assert out == ""
+    assert err == "mdsrepair: verification failed: matrix and subspace MDS forms disagree\n"
+
+
 def test_stdin_pipe_between_subcommands():
     construct = subprocess.run(
         [sys.executable, "-m", "mdsrepair.cli", "construct", "exceptional", "--case", "q4n9"],
@@ -241,3 +257,56 @@ def test_structured_output_round_trips_to_file(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["n"] == 9
     assert [nd["beta"] for nd in doc["nodes"]] == [12] * 9
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=10,
+)
+_SMALL_CODE = serialize(code_from_intrinsic(desarguesian_spread(2, 2).members[:3]))
+
+
+@st.composite
+def _code_files(draw):
+    """Raw bytes, arbitrary JSON, or a valid code file with one value replaced."""
+    kind = draw(st.sampled_from(("bytes", "json", "mutant")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=120))
+    if kind == "json":
+        return json.dumps(draw(_JSON)).encode()
+    payload = json.loads(_SMALL_CODE)
+    holder = key = None
+    node = payload
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 4)):
+        if isinstance(node, dict):
+            key = draw(st.sampled_from(sorted(node)))
+        else:
+            key = draw(st.integers(0, len(node) - 1))
+        holder, node = node, node[key]
+    value = draw(_JSON)
+    if holder is None:
+        payload = value
+    else:
+        holder[key] = value
+    return json.dumps(payload).encode()
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=_code_files())
+@example(data=_SMALL_CODE.encode())
+@example(data=b"[" * 100_000)
+@example(data=b"\xff\xfe")
+def test_fuzzed_code_files_exit_cleanly(tmp_path, capsys, data):
+    path = tmp_path / "code.json"
+    path.write_bytes(data)
+    try:
+        deserialize(data.decode())
+    except ValueError:
+        pass  # bytes that are not UTF-8, or the one class cli._load_code turns into exit 1
+    code, _, err = _run(capsys, ["verify", "mds", "--code", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mdsrepair import repair
 from mdsrepair.code import (
     code_from_blocks,
     code_from_intrinsic,
@@ -15,7 +16,7 @@ from mdsrepair.code import (
 )
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
-from mdsrepair.linalg import Subspace, proj_point, rank
+from mdsrepair.linalg import MatrixGF, Subspace, all_subspaces, proj_point, rank
 from mdsrepair.repair import SamplingExhaustedError, random_mds_code
 
 
@@ -149,6 +150,25 @@ def test_deserialize_rejects_garbage():
     payload["blocks"][0][0][0] = (payload["blocks"][0][0][0] + 1) % 3
     with pytest.raises(ValueError):
         deserialize(json.dumps(payload))  # block no longer matches its column points
+    good = json.loads(serialize(code))
+    for path, value in (
+        (("n",), float("inf")),
+        (("n",), "5"),
+        (("field", "p"), 2**61 - 1),  # prime, but far past the size cap
+        (("field", "m"), 10**9),
+        (("blocks",), [[[]]] * 5),  # blocks without columns
+        (("blocks",), None),
+        (("column_points",), [[1, 2]] * 5),
+    ):
+        payload = json.loads(json.dumps(good))
+        holder = payload
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        with pytest.raises(ValueError):
+            deserialize(json.dumps(payload))
+    with pytest.raises(ValueError):
+        deserialize("[" * 100_000)
 
 
 def test_random_mds_code_is_mds_and_deterministic():
@@ -178,3 +198,95 @@ def test_random_mds_code_exhaustion():
     with pytest.raises(SamplingExhaustedError):
         # n beyond the length bound can never be reached
         random_mds_code(field, 2, 2, 6, random.Random(0), retry_cap=3)
+
+
+def _rank_walk_mds_code(field, r, ell, n, rng, retry_cap):
+    """The rank-based sampler that random_mds_code's point-mask walk replaced.
+
+    A candidate joins when the stacked bases of it and of every r-1 members
+    have full rank.  Returns the code, or None at the retry cap, with the
+    number of finished families and of attempts whose first r-1 members
+    were dependent.
+    """
+    pool = all_subspaces(field, r * ell, ell)
+    d = r * ell
+    finished = dependent = 0
+
+    def compatible(family, cand):
+        return all(
+            rank(MatrixGF(field, d, d, sum((s.entries for s in (cand, *group)), ()))) == d
+            for group in itertools.combinations(family, r - 1)
+        )
+
+    for _ in range(retry_cap):
+        order = list(range(len(pool)))
+        rng.shuffle(order)
+        family = []
+        for idx in order:
+            cand = pool[idx]
+            if len(family) < r - 1 or compatible(family, cand):
+                family.append(cand)
+                if len(family) == r - 1:
+                    rows = [row for s in family for row in s.basis_rows()]
+                    dependent += Subspace.from_rows(field, d, rows).dim < (r - 1) * ell
+                if len(family) == n:
+                    break
+        if len(family) < n:
+            continue
+        finished += 1
+        code = code_from_intrinsic(tuple(family))
+        if is_mds(code).ok:
+            return code, finished, dependent
+    return None, finished, dependent
+
+
+# (q, ell, r, lengths, retry_cap); some lengths sit at or past the length bound
+# q^ell + r - 1, where the small caps run out
+_SAMPLER_GRID = (
+    (2, 2, 2, (2, 3, 5, 6), 3),
+    (3, 2, 2, (3, 6, 10), 2),
+    (2, 3, 2, (4,), 2),
+    (2, 2, 3, (3, 6, 7), 3),
+    (3, 1, 3, (4, 5), 3),
+    (2, 1, 4, (4, 5), 3),
+    (3, 1, 4, (5, 6), 3),
+)
+
+
+def test_random_mds_code_matches_rank_walk(monkeypatch):
+    verdicts = []
+
+    def recording_is_mds(code):
+        check = is_mds(code)
+        verdicts.append(check.ok)
+        return check
+
+    monkeypatch.setattr(repair, "is_mds", recording_is_mds)
+    dependent_by_r = {2: 0, 3: 0, 4: 0}
+    exhausted = sampled = 0
+    for q, ell, r, lengths, cap in _SAMPLER_GRID:
+        field = field_of_order(q)
+        for n in lengths:
+            for seed in range(5):
+                tag = (q, ell, r, n, seed)
+                ref_rng, rng = random.Random(seed), random.Random(seed)
+                ref, finished, dependent = _rank_walk_mds_code(field, r, ell, n, ref_rng, cap)
+                dependent_by_r[r] += dependent
+                verdicts.clear()
+                try:
+                    got = random_mds_code(field, r, ell, n, rng, retry_cap=cap)
+                except SamplingExhaustedError:
+                    got = None
+                if ref is None:
+                    exhausted += 1
+                    assert got is None, tag
+                else:
+                    sampled += 1
+                    assert got is not None and serialize(got) == serialize(ref), tag
+                # one shuffle per attempt, and only independent families finish
+                assert rng.getstate() == ref_rng.getstate(), tag
+                assert verdicts == [True] * finished, tag
+    # r = 2 cannot start dependent; both other kinds of walk must end some
+    # attempt on a dead family
+    assert dependent_by_r[3] > 0 and dependent_by_r[4] > 0
+    assert exhausted > 0 and sampled > 0

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+import sympy
 
 from mdsrepair.gf import field_of_order, is_irreducible, make_extension, make_field
 
@@ -139,3 +141,30 @@ def test_field_contexts_are_cached_and_comparable():
     assert make_field(3, 2) is make_field(3, 2)
     assert field_of_order(9) == make_field(3, 2)
     assert make_field(2, 2) != make_field(2, 1)
+
+
+def test_is_irreducible_matches_sympy():
+    x = sympy.symbols("x")
+    for p in (2, 3, 5):
+        for deg in range(1, 5):
+            for low in itertools.product(range(p), repeat=deg):
+                coeffs = (*low, 1)  # constant term first, monic
+                want = sympy.Poly(coeffs[::-1], x, modulus=p).is_irreducible
+                assert is_irreducible(coeffs, p) == want, (p, coeffs)
+
+
+def test_field_tables_match_sympy_products():
+    x = sympy.symbols("x")
+    for q in (4, 8, 9, 16, 25, 27):
+        f = field_of_order(q)
+        modulus = sympy.Poly(f.modulus[::-1], x, modulus=f.p)
+        polys = [sympy.Poly(f.to_poly(a)[::-1], x, modulus=f.p) for a in range(q)]
+
+        def code_of(g):
+            digits = [int(c) for c in g.all_coeffs()[::-1]]
+            return f.from_poly(digits + [0] * (f.m - len(digits)))
+
+        for a in range(q):
+            for b in range(a, q):
+                assert f.mul(a, b) == code_of((polys[a] * polys[b]).rem(modulus)), (q, a, b)
+                assert f.add(a, b) == code_of(polys[a] + polys[b]), (q, a, b)
