@@ -21,13 +21,11 @@ from .code import (
 from .constructions import (
     BlockBoundCert,
     ConverseReport,
-    HitSetTable,
     TwoParityPlan,
     build_exceptional,
     build_two_parity_code,
     check_block_intersection_bound,
     hit_set,
-    hit_set_table,
     mobius_image,
     norm_kernel,
     regular_spread_converse_check,
@@ -70,9 +68,7 @@ from .repair import (
     RepairReport,
     RepairWitness,
     SweepResult,
-    bw_of_scheme,
     counting_bound,
-    io_of_scheme,
     make_witness,
     optimal_alpha,
     optimal_lambda,

@@ -4,21 +4,21 @@ Exit codes separate operational trouble from mathematical trouble: 0
 means the requested check or report succeeded, 2 means a verification
 ran and failed (a real counterexample, a corrupted input code, or one of
 the package's internal cross-checks), and 1 means the invocation itself
-was unusable (bad flags, unreadable files, a budget too small for the
-search).
+was unusable (bad flags or counts below 1, unreadable files, a q that
+is not a prime power, a budget or cap too small for the search).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .code import ArrayCode, deserialize, is_mds, serialize
+from .code import DEFAULT_MDS_CAP, ArrayCode, deserialize, is_mds, serialize
 from .constructions import (
     build_exceptional,
     build_two_parity_code,
@@ -26,6 +26,7 @@ from .constructions import (
     regular_spread_converse_check,
 )
 from .geometry import INF, desarguesian_spread, is_regular_spread, is_spread, regulus_through
+from .gf import prime_power
 from .linalg import DEFAULT_ENUM_BUDGET, BudgetExceededError
 from .repair import (
     RepairReport,
@@ -40,27 +41,19 @@ from .sim import erase_and_repair, sample_codeword
 FORMATS = ("table", "csv", "structured")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: the subcommand pair plus the shared knobs."""
-
-    command: str
-    action: str | None
-    fmt: str
-    budget: int
-    seed: int
-    args: argparse.Namespace
-
-    def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage problems exit 1 instead of argparse's 2."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    """argparse type of budgets and counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _use_color() -> bool:
@@ -227,7 +220,7 @@ def _build_parser() -> _Parser:
     rsub = r.add_subparsers(dest="action", required=True)
     ra = rsub.add_parser("analyze", help="per node optimal bandwidth and I/O")
     ra.add_argument("--code", default=None, help="code file, default stdin")
-    ra.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    ra.add_argument("--budget", type=positive_int, default=DEFAULT_ENUM_BUDGET)
     ra.add_argument("--format", choices=FORMATS, default="table")
 
     g = sub.add_parser("geometry", help="spread and regulus checks")
@@ -240,7 +233,7 @@ def _build_parser() -> _Parser:
     gr.add_argument("--members", type=int, nargs=3, required=True, metavar="IDX")
     gg = gsub.add_parser("regular", help="check the field spread is closed under reguli")
     gg.add_argument("--q", type=int, required=True)
-    gg.add_argument("--sample", type=int, default=None)
+    gg.add_argument("--sample", type=positive_int, default=None)
     gg.add_argument("--seed", type=int, default=0)
 
     k = sub.add_parser("check", help="verify a paper level statement")
@@ -251,11 +244,11 @@ def _build_parser() -> _Parser:
     ks.add_argument("--q", type=int, default=2)
     ks.add_argument("--ell", type=int, default=2)
     ks.add_argument("--r", type=int, default=3)
-    ks.add_argument("--trials", type=int, default=50)
+    ks.add_argument("--trials", type=positive_int, default=50)
     ks.add_argument("--seed", type=int, default=0)
     kv = ksub.add_parser("converse", help="spread coded attainment needs n above the threshold")
     kv.add_argument("--q", type=int, required=True, choices=(3, 4))
-    kv.add_argument("--samples", type=int, default=150)
+    kv.add_argument("--samples", type=positive_int, default=150)
     kv.add_argument("--seed", type=int, default=0)
 
     s = sub.add_parser("simulate", help="run repair trials on sampled codewords")
@@ -264,20 +257,19 @@ def _build_parser() -> _Parser:
     sr.add_argument("--code", default=None, help="code file, default stdin")
     sr.add_argument("--node", type=int, required=True)
     sr.add_argument("--seed", type=int, default=0)
-    sr.add_argument("--trials", type=int, default=1)
-    sr.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    sr.add_argument("--trials", type=positive_int, default=1)
+    sr.add_argument("--budget", type=positive_int, default=DEFAULT_ENUM_BUDGET)
     return p
 
 
-def _cmd_bound(cfg: RunConfig) -> int:
-    a = cfg.args
+def _cmd_bound(a: argparse.Namespace) -> int:
+    prime_power(a.q)  # raises ValueError unless q is a prime power within the field cap
     print(counting_bound(a.n, a.r, a.ell, a.q))
     return 0
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    a = cfg.args
-    if cfg.action == "desarguesian":
+def _cmd_construct(a: argparse.Namespace) -> int:
+    if a.action == "desarguesian":
         code, _, _ = build_two_parity_code(a.q, a.ell, a.n)
     else:
         code, _ = build_exceptional(a.case)
@@ -285,9 +277,14 @@ def _cmd_construct(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    code = _load_code(cfg.args.code)
+def _cmd_verify(a: argparse.Namespace) -> int:
+    code = _load_code(a.code)
     check = is_mds(code)
+    if check.ok is None:
+        raise SystemExit(
+            f"{code.n} choose {code.r} = {math.comb(code.n, code.r)} block subsets "
+            f"exceed the MDS check's cap of {DEFAULT_MDS_CAP}"
+        )
     if check.ok:
         print(f"mds {_verdict(True)}: all {code.n} choose {code.r} block subsets invertible")
         return 0
@@ -295,16 +292,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 2
 
 
-def _cmd_repair(cfg: RunConfig) -> int:
-    code = _load_code(cfg.args.code)
-    report = repair_report(code, budget=cfg.budget)
-    _print_report(report, cfg.fmt)
+def _cmd_repair(a: argparse.Namespace) -> int:
+    code = _load_code(a.code)
+    report = repair_report(code, budget=a.budget)
+    _print_report(report, a.format)
     return 0
 
 
-def _cmd_geometry(cfg: RunConfig) -> int:
-    a = cfg.args
-    if cfg.action == "spread-check":
+def _cmd_geometry(a: argparse.Namespace) -> int:
+    if a.action == "spread-check":
         spread = desarguesian_spread(a.q, a.ell)
         check = is_spread(spread.field, spread.ell, spread.members)
         print(
@@ -312,7 +308,7 @@ def _cmd_geometry(cfg: RunConfig) -> int:
             f"{_verdict(bool(check))}" + ("" if check.ok else f" ({check.reason})")
         )
         return 0 if check.ok else 2
-    if cfg.action == "regulus":
+    if a.action == "regulus":
         spread = desarguesian_spread(a.q, 2)
         idx = a.members
         if len(set(idx)) != 3 or not all(0 <= i < len(spread) for i in idx):
@@ -333,9 +329,8 @@ def _cmd_geometry(cfg: RunConfig) -> int:
     return 0 if check.ok else 2
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    a = cfg.args
-    if cfg.action == "lemma-c1":
+def _cmd_check(a: argparse.Namespace) -> int:
+    if a.action == "lemma-c1":
         family = _read_family(a.family)
         holds, cert = check_block_intersection_bound(family)
         if not holds:
@@ -347,7 +342,7 @@ def _cmd_check(cfg: RunConfig) -> int:
             f"{cert.bound} {_verdict(True)}; empty core of {len(core)} blocks: {core}"
         )
         return 0
-    if cfg.action == "strictness":
+    if a.action == "strictness":
         result = verify_strictness_sweep(a.q, a.ell, a.r, trials=a.trials, seed=a.seed)
         good = result.ok and not result.equality_cases
         print(
@@ -371,12 +366,11 @@ def _cmd_check(cfg: RunConfig) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    a = cfg.args
+def _cmd_simulate(a: argparse.Namespace) -> int:
     code = _load_code(a.code)
     if not 0 <= a.node < code.n:
         raise SystemExit(f"node must lie in [0, {code.n})")
-    _, witness = optimal_alpha(code, a.node, budget=cfg.budget)
+    _, witness = optimal_alpha(code, a.node, budget=a.budget)
     failures = 0
     for t in range(a.trials):
         cw = sample_codeword(code, a.seed + t)
@@ -411,15 +405,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        cfg = RunConfig(
-            command=ns.command,
-            action=getattr(ns, "action", None),
-            fmt=getattr(ns, "format", "table"),
-            budget=getattr(ns, "budget", DEFAULT_ENUM_BUDGET),
-            seed=getattr(ns, "seed", 0),
-            args=ns,
-        )
-        return _HANDLERS[ns.command](cfg)
+        return _HANDLERS[ns.command](ns)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

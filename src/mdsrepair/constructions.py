@@ -258,26 +258,6 @@ def hit_set(
     return out
 
 
-@dataclass(frozen=True)
-class HitSetTable:
-    """Hit sets over the mirror spread for a batch of probed subspaces."""
-
-    labels: tuple[Label, ...]
-    entries: tuple[tuple[Subspace, frozenset[Label]], ...]
-
-    def get(self, w: Subspace) -> frozenset[Label]:
-        for space, hits in self.entries:
-            if space == w:
-                return hits
-        raise KeyError("subspace was not probed")
-
-
-def hit_set_table(ws: Iterable[Subspace], ext: ExtensionCtx) -> HitSetTable:
-    spread = _mirror_spread(ext)
-    assert spread.labels is not None
-    return HitSetTable(spread.labels, tuple((w, hit_set(w, ext)) for w in ws))
-
-
 # The three lengths below the coset threshold, with their node label sets
 # and the GL_2(GF(q^2)) elements whose probe subspaces repair them.  The
 # recorded hit sets are re-derived and asserted at build time.

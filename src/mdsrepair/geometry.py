@@ -16,7 +16,6 @@ from typing import Union
 from .gf import ExtensionCtx, FieldCtx, field_of_order, make_extension
 from .linalg import (
     Subspace,
-    gaussian_binomial,
     intersect_dim,
     projective_points,
     subspace_intersection,
@@ -246,15 +245,3 @@ def replace_regulus(spread: Spread, reg: Regulus) -> Spread:
         raise ValueError("the regulus does not lie inside the spread")
     members = tuple(L for L in spread.members if L not in set(reg.lines)) + reg.transversals
     return Spread(spread.field, spread.ell, members, None)
-
-
-def all_lines(field: FieldCtx) -> tuple[Subspace, ...]:
-    """Every line of PG(3, q), i.e. every 2 dimensional subspace of F_q^4."""
-    from .linalg import all_subspaces
-
-    return all_subspaces(field, 4, 2)
-
-
-def spread_count_check(field: FieldCtx, ell: int) -> int:
-    """Number of members any spread of PG(2*ell-1, q) must have."""
-    return gaussian_binomial(2 * ell, 1, field.q) // gaussian_binomial(ell, 1, field.q)

@@ -263,8 +263,13 @@ def make_field(
     return _build_field(p, m, mod)
 
 
-def field_of_order(q: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
-    """GF(q) with the default modulus, for q any prime power."""
+def prime_power(q: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> tuple[int, int]:
+    """(p, m) with q = p^m, by trial division and without building tables.
+
+    q above size_cap is refused first: the division takes up to sqrt(q) steps.
+    """
+    if q > size_cap:
+        raise ValueError(f"field size {q} exceeds cap {size_cap}")
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
     p = 2
@@ -280,6 +285,12 @@ def field_of_order(q: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
             raise ValueError(f"q = {q} is not a prime power")
         rest //= p
         m += 1
+    return p, m
+
+
+def field_of_order(q: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
+    """GF(q) with the default modulus, for q any prime power."""
+    p, m = prime_power(q, size_cap=size_cap)
     return make_field(p, m, size_cap=size_cap)
 
 

@@ -32,7 +32,6 @@ from .linalg import (
     kernel,
     points_mask,
     projective_point_count,
-    rank,
     subspace_sum,
 )
 
@@ -200,45 +199,6 @@ def _checked_witness(
     if getattr(wit, cost) != code.ell * (code.n - 1) - saving:
         raise AssertionError(f"node {node}: the mask scan and the rank oracle disagree on {cost}")
     return wit
-
-
-def bw_of_scheme(code: ArrayCode, node: int, m: MatrixGF) -> int:
-    """Download cost sum_j rank(M H_j), cross-checked against ker M."""
-    if m.rows != code.ell or m.cols != code.ambient_dim:
-        raise ValueError("repair matrix must be ell x r*ell")
-    if rank(m.mul(code.blocks[node])) != code.ell:
-        raise ValueError("M H_i must be invertible for the failed node")
-    w = kernel(m)
-    total = 0
-    for j in range(code.n):
-        if j == node:
-            continue
-        via_rank = rank(m.mul(code.blocks[j]))
-        via_space = code.ell - intersect_dim(w, code.node_subspaces[j])
-        if via_rank != via_space:
-            raise AssertionError("matrix and subspace bandwidth forms disagree")
-        total += via_rank
-    return total
-
-
-def io_of_scheme(code: ArrayCode, node: int, m: MatrixGF) -> int:
-    """Access cost: nonzero columns of M H_j, cross-checked against ker M."""
-    if m.rows != code.ell or m.cols != code.ambient_dim:
-        raise ValueError("repair matrix must be ell x r*ell")
-    if rank(m.mul(code.blocks[node])) != code.ell:
-        raise ValueError("M H_i must be invertible for the failed node")
-    w = kernel(m)
-    total = 0
-    for j in range(code.n):
-        if j == node:
-            continue
-        prod = m.mul(code.blocks[j])
-        nonzero = sum(1 for t in range(prod.cols) if any(prod.col(t)))
-        captured = sum(w.contains_vector(p.representative) for p in code.column_points[j])
-        if nonzero != code.ell - captured:
-            raise AssertionError("matrix and subspace access forms disagree")
-        total += nonzero
-    return total
 
 
 def _candidate_spaces(code: ArrayCode, budget: int) -> tuple[Iterable[Subspace], int]:

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .code import ArrayCode, CodewordArr, codeword_space
-from .linalg import MatrixGF, inverse, rank
-from .repair import RepairWitness, bw_of_scheme, io_of_scheme
+from .linalg import inverse, kernel, rank
+from .repair import RepairWitness
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,25 @@ def erase_and_repair(
 ) -> RepairTrace:
     """Rebuild block `node` of cw through the witness's repair matrix.
 
-    The trace counters are asserted against the analytic bandwidth and
-    access costs of the same matrix before returning.
+    The matrix must have the witness's space W as its kernel.  Each
+    helper's measured download rank(M H_j) and reads (nonzero columns of
+    M H_j) are asserted to equal ell - dim(W meet H_j) and ell minus the
+    captured column points, as recorded in the witness's profile.
     """
     if witness.node != node:
         raise ValueError("witness was built for a different node")
     field = code.field
     ell = code.ell
     m = witness.matrix
+    if kernel(m) != witness.space:
+        raise ValueError("the repair matrix's kernel is not the witness's space")
     mhi = m.mul(code.blocks[node])
     if rank(mhi) != ell:
         raise ValueError("M H_i is singular, the witness cannot repair this node")
+    expected = {
+        j: (ell - d, ell - z)
+        for (j, d), (_, z) in zip(witness.helper_dims, witness.helper_points)
+    }
     downloaded = []
     accessed = []
     transmitted = []
@@ -83,15 +91,18 @@ def erase_and_repair(
             continue
         prod = m.mul(code.blocks[j])
         live = [t for t in range(ell) if any(prod.col(t))]
+        down = rank(prod)
+        if expected.get(j) != (down, len(live)):
+            raise AssertionError(f"helper {j}: simulated cost differs from the witness profile")
         masked = tuple(cw.blocks[j][t] if t in live else 0 for t in range(ell))
         y = prod.mul_vec(masked)
         acc = [field.add(a, v) for a, v in zip(acc, y)]
-        downloaded.append((j, rank(prod)))
+        downloaded.append((j, down))
         accessed.append((j, len(live)))
         transmitted.append((j, y))
     rhs = tuple(field.neg(a) for a in acc)
     recovered = inverse(mhi).mul_vec(rhs)
-    trace = RepairTrace(
+    return RepairTrace(
         node=node,
         downloaded=tuple(downloaded),
         accessed=tuple(accessed),
@@ -99,8 +110,3 @@ def erase_and_repair(
         recovered=recovered,
         match=recovered == tuple(cw.blocks[node]),
     )
-    if trace.total_downloaded != bw_of_scheme(code, node, m):
-        raise AssertionError("simulated download differs from the analytic cost")
-    if trace.total_accessed != io_of_scheme(code, node, m):
-        raise AssertionError("simulated access differs from the analytic cost")
-    return trace

@@ -22,7 +22,6 @@ from mdsrepair.constructions import (
 )
 from mdsrepair.geometry import (
     INF,
-    all_lines,
     desarguesian_spread,
     is_regular_spread,
     is_spread,
@@ -217,7 +216,7 @@ def test_criterion_07_geometry_suite():
             failures.append(f"q={q} regularity")
         rng = random.Random(q)
         members = set(spread.members)
-        outside = [m for m in all_lines(field) if m not in members]
+        outside = [m for m in all_subspaces(field, 4, 2) if m not in members]
         # q = 2 has only 30 outside lines, so the 50 requested samples
         # degrade to the full population there
         for m in rng.sample(outside, min(50, len(outside))):

@@ -4,12 +4,13 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mdsrepair import cli
 from mdsrepair.cli import run
-from mdsrepair.code import code_from_intrinsic, deserialize, serialize
+from mdsrepair.code import MdsCheck, code_from_intrinsic, deserialize, serialize
 from mdsrepair.constructions import build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 
@@ -30,6 +31,13 @@ def test_bound_rejects_bad_parameters(capsys):
     code, _, err = _run(capsys, ["bound", "--n", "1", "--r", "2", "--ell", "2", "--q", "3"])
     assert code == 1
     assert "error" in err
+
+
+def test_bound_rejects_a_q_that_is_not_a_prime_power(capsys):
+    code, out, err = _run(capsys, ["bound", "--n", "6", "--r", "2", "--ell", "2", "--q", "6"])
+    assert code == 1
+    assert out == ""
+    assert err == "mdsrepair: error: q = 6 is not a prime power\n"
 
 
 def test_usage_error_is_exit_1(capsys):
@@ -73,6 +81,19 @@ def test_verify_mds_pass_and_fail(capsys, tmp_path):
     code, out, _ = _run(capsys, ["verify", "mds", "--code", str(bad)])
     assert code == 2
     assert "FAIL" in out and "(0, 1)" in out
+
+
+def test_verify_mds_over_the_subset_cap_is_exit_1(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(serialize(build_two_parity_code(3, 2, 8)[0]))
+    monkeypatch.setattr(cli, "is_mds", lambda code: MdsCheck("cap_exceeded", 0))
+    code, out, err = _run(capsys, ["verify", "mds", "--code", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "mdsrepair: error: 8 choose 2 = 28 block subsets exceed the MDS check's cap of "
+        f"{cli.DEFAULT_MDS_CAP}\n"
+    )
 
 
 def test_verify_unreadable_file_is_exit_1(capsys, tmp_path):
@@ -147,6 +168,19 @@ def test_geometry_commands(capsys):
     assert code == 1
 
 
+def test_huge_prime_q_is_exit_1_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdsrepair.cli", "geometry", "spread-check",
+         "--q", "1000000000000000003"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "mdsrepair: error: field size 1000000000000000003 exceeds cap 65536\n"
+
+
 def test_check_lemma_c1(capsys, tmp_path):
     fam = tmp_path / "family.txt"
     fam.write_text("inf 0 1 2\ninf 1 4 7\n0 2 4 7\n")
@@ -201,6 +235,26 @@ def test_simulate_repair(capsys, tmp_path):
         ["simulate", "repair", "--code", str(path), "--node", "99", "--budget", "1000"],
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repair", "analyze", "--budget", "0"],
+        ["simulate", "repair", "--node", "0", "--trials", "0"],
+        ["check", "strictness", "--trials", "-3"],
+        ["check", "converse", "--q", "4", "--samples", "0"],
+        ["geometry", "regular", "--q", "3", "--sample", "0"],
+    ],
+    ids=["budget", "trials-simulate", "trials-strictness", "samples", "sample"],
+)
+def test_counts_below_one_are_exit_1(capsys, argv):
+    # a count of zero would check nothing and still print "ok"
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    flag, value = argv[-2:]
+    assert err.endswith(f"error: argument {flag}: must be at least 1, got {value}\n")
 
 
 def test_budget_too_small_is_exit_1_without_traceback(tmp_path):

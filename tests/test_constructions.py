@@ -8,7 +8,6 @@ from mdsrepair.constructions import (
     build_two_parity_code,
     check_block_intersection_bound,
     hit_set,
-    hit_set_table,
     mobius_image,
     norm_kernel,
     regular_spread_converse_check,
@@ -185,16 +184,6 @@ def test_hit_set_against_naive_intersection():
             if intersect_dim(w, tilde.member(label)) == 1
         }
         assert got == frozenset(naive)
-
-
-def test_hit_set_table_lookup():
-    ext = _ext(3)
-    ws = [w_g_subspace(ext, ((1, 0), (0, 1))), w_g_subspace(ext, ((3, 1), (0, 1)))]
-    table = hit_set_table(ws, ext)
-    assert table.get(ws[0]) == hit_set(ws[0], ext)
-    assert table.get(ws[1]) == hit_set(ws[1], ext)
-    with pytest.raises(KeyError):
-        table.get(wb_subspace(ext, 1))
 
 
 def test_exceptional_catalog():

@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from mdsrepair.gf import field_of_order, is_irreducible, make_extension, make_field
+from mdsrepair.gf import field_of_order, is_irreducible, make_extension, make_field, prime_power
 
 
 def test_prime_field_arithmetic():
@@ -27,10 +27,17 @@ def test_default_moduli_are_the_smallest_irreducible():
 def test_field_of_order_accepts_prime_powers_only():
     assert field_of_order(9).q == 9
     assert field_of_order(16).q == 16
+    assert prime_power(27) == (3, 3)
+    assert prime_power(65521) == (65521, 1)
     with pytest.raises(ValueError):
         field_of_order(6)
     with pytest.raises(ValueError):
         field_of_order(1)
+    with pytest.raises(ValueError, match="exceeds cap 100"):
+        prime_power(101, size_cap=100)
+    # refused before trial division up to its square root, about 10^9 steps
+    with pytest.raises(ValueError, match="exceeds cap"):
+        field_of_order(1000000000000000003)
 
 
 def test_reducible_modulus_rejected():

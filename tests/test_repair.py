@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -16,9 +17,7 @@ from mdsrepair.linalg import (
 from mdsrepair.repair import (
     _mask_profiler,
     _rank_profile,
-    bw_of_scheme,
     counting_bound,
-    io_of_scheme,
     make_witness,
     optimal_alpha,
     optimal_lambda,
@@ -28,6 +27,7 @@ from mdsrepair.repair import (
     verify_bound_sweep,
     verify_strictness_sweep,
 )
+from mdsrepair.sim import erase_and_repair, sample_codeword
 
 
 def _spread_code(q, n):
@@ -110,20 +110,25 @@ def test_scheme_costs_match_witness():
     code = _spread_code(3, 6)
     node = 4
     rng = random.Random(32)
+    cw = sample_codeword(code, 7)
     for w in rng.sample(_feasible_spaces(code, node), 6):
         wit = make_witness(code, node, w)
-        assert bw_of_scheme(code, node, wit.matrix) == wit.bw
-        assert io_of_scheme(code, node, wit.matrix) == wit.io
+        trace = erase_and_repair(code, cw, node, wit)
+        assert trace.match
+        assert trace.total_downloaded == wit.bw
+        assert trace.total_accessed == wit.io
 
 
 def test_scheme_costs_reject_singular_repair():
     code = _spread_code(3, 6)
-    w = code.node_subspaces[1]  # ker M = H_1 makes M H_1 = 0
-    m = repair_matrix_from_subspace(w, code.node_subspaces[0])
+    _, wit = optimal_alpha(code, 1)
+    cw = sample_codeword(code, 0)
+    h1 = code.node_subspaces[1]
+    m = repair_matrix_from_subspace(h1, code.node_subspaces[0])  # ker M = H_1, so M H_1 = 0
     with pytest.raises(ValueError):
-        bw_of_scheme(code, 1, m)
+        erase_and_repair(code, cw, 1, dataclasses.replace(wit, matrix=m))
     with pytest.raises(ValueError):
-        io_of_scheme(code, 1, m)
+        erase_and_repair(code, cw, 1, dataclasses.replace(wit, space=h1, matrix=m))
 
 
 def _brute_alpha(code, node):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -85,6 +86,28 @@ def test_repair_rejects_mismatched_witness():
     cw = sample_codeword(code, 0)
     with pytest.raises(ValueError):
         erase_and_repair(code, cw, 1, wits[0])
+
+
+def test_repair_rejects_tampered_profile():
+    code, wits = build_exceptional("q4n9")
+    cw = sample_codeword(code, 3)
+    wit = wits[2]
+    (j, d), *rest = wit.helper_dims
+    with pytest.raises(AssertionError, match=f"helper {j}"):
+        erase_and_repair(code, cw, 2, dataclasses.replace(wit, helper_dims=((j, d + 1), *rest)))
+    *rest, (j, z) = wit.helper_points
+    with pytest.raises(AssertionError, match=f"helper {j}"):
+        erase_and_repair(code, cw, 2, dataclasses.replace(wit, helper_points=(*rest, (j, z - 1))))
+
+
+def test_repair_rejects_witness_with_foreign_space():
+    # the matrix still repairs node 0 at the witness's costs; only its
+    # kernel differs from the recorded space
+    code, wits, _ = build_two_parity_code(3, 2, 8)
+    cw = sample_codeword(code, 4)
+    other = next(w.space for w in wits[1:] if w.space != wits[0].space)
+    with pytest.raises(ValueError, match="kernel"):
+        erase_and_repair(code, cw, 0, dataclasses.replace(wits[0], space=other))
 
 
 def test_full_download_repair_baseline():
