@@ -71,7 +71,6 @@ from .repair import (
     counting_bound,
     make_witness,
     optimal_alpha,
-    optimal_lambda,
     random_mds_code,
     repair_matrix_from_subspace,
     repair_report,

@@ -6,17 +6,22 @@ Omega covering two norm cosets, and repairs node c through one of the two
 twisted subspaces W_b = {(x, b*x^q)}.  The three short codes below the
 coset threshold store mirror spread members {(s*x, x)} and repair through
 images of GF(q)^2 under a handful of fixed GL_2(GF(q^2)) elements, chosen
-so that their hit sets cover Omega while missing each node once.
+so that their hit sets cover Omega while missing each node once.  Both
+families plant their probes through one routine: a node's columns hold
+every point a probe pins inside it, and the first probe missing the node
+repairs it.
 
-The same hit set machinery drives the converse search: over a field
-spread every non member subspace meets exactly q+1 members (a regulus),
-so attainment questions about codes with spread member nodes reduce to
-set inclusion against the regulus list.
+Hit sets are read off projective point masks (Spread.meets).  They also
+drive the converse search: over a field spread every non member line
+meets exactly q+1 members (a regulus), so attainment questions about
+codes with spread member nodes reduce to set inclusion against the
+regulus list of geometry.hit_set_counts.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,12 +29,17 @@ from typing import Iterable, Sequence
 
 from .code import ArrayCode, code_from_intrinsic, is_mds
 from .gf import ExtensionCtx, field_of_order, make_extension
-from .geometry import INF, Label, Spread, conjugate_spread, desarguesian_spread
+from .geometry import (
+    INF,
+    Label,
+    Spread,
+    conjugate_spread,
+    desarguesian_spread,
+    hit_set_counts,
+)
 from .linalg import (
     ProjPoint,
     Subspace,
-    all_subspaces,
-    intersect_dim,
     proj_point,
     projective_point_count,
     projective_points,
@@ -86,7 +96,6 @@ class TwoParityPlan:
     coset2: frozenset[int]
     omega: tuple[Label, ...]
     assigned_b: tuple[int, ...]
-    required_points: tuple[ProjPoint | None, ...]
 
 
 def _fill_columns(member: Subspace, forced: Sequence[ProjPoint]) -> tuple[ProjPoint, ...]:
@@ -104,6 +113,40 @@ def _fill_columns(member: Subspace, forced: Sequence[ProjPoint]) -> tuple[ProjPo
     if len(chosen) != member.dim:
         raise AssertionError("could not complete the column point set")
     return tuple(sorted(chosen))
+
+
+def _planted_code(
+    subspaces: Sequence[Subspace], probes: Sequence[Subspace], target: int
+) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
+    """The code on subspaces, every node repaired through a probe at target.
+
+    Each probe that meets a node pins one point inside it, and the node's
+    columns are forced to contain every such point, which makes the access
+    cost of each probe match its download cost.  Each node is repaired
+    through the first probe that misses it.
+    """
+    repairs: list[Subspace] = []
+    columns: list[tuple[ProjPoint, ...]] = []
+    for i, member in enumerate(subspaces):
+        hits = [w for w in probes if w.point_mask & member.point_mask]
+        misses = [w for w in probes if not w.point_mask & member.point_mask]
+        if not misses:
+            raise AssertionError(f"every probe meets node {i}")
+        repairs.append(misses[0])
+        forced = set()
+        for w in hits:
+            meet = subspace_intersection(w, member)
+            if meet.dim != 1:
+                raise AssertionError(f"a probe meets node {i} off a line")
+            forced.add(proj_point(member.field, meet.basis_rows()[0]))
+        if len(forced) > member.dim:
+            raise AssertionError(f"node {i} holds more pinned points than columns")
+        columns.append(_fill_columns(member, sorted(forced)))
+    code = code_from_intrinsic(subspaces, column_points=columns)
+    witnesses = tuple(make_witness(code, i, w) for i, w in enumerate(repairs))
+    if any(wit.bw != target or wit.io != target for wit in witnesses):
+        raise AssertionError("planted witness misses the target metrics")
+    return code, witnesses
 
 
 def build_two_parity_code(
@@ -150,37 +193,11 @@ def build_two_parity_code(
         omega = omega + (INF,)
 
     spread = desarguesian_spread(q, ell, ext=ext)
-    witness_space = {b1: wb_subspace(ext, b1), b2: wb_subspace(ext, b2)}
-    subspaces = [spread.member(c) for c in omega]
-    assigned = tuple(b2 if c in coset1 else b1 for c in omega)
-
-    required: list[ProjPoint | None] = []
-    columns: list[tuple[ProjPoint, ...]] = []
-    for c, member in zip(omega, subspaces):
-        pinning = b1 if c in coset1 else b2 if c in coset2 else None
-        if pinning is None:
-            required.append(None)
-            columns.append(_fill_columns(member, ()))
-            continue
-        meet = subspace_intersection(witness_space[pinning], member)
-        if meet.dim != 1:
-            raise AssertionError("witness meets a coset member off a line")
-        point = proj_point(ext.base, meet.basis_rows()[0])
-        required.append(point)
-        columns.append(_fill_columns(member, (point,)))
-
-    code = code_from_intrinsic(subspaces, column_points=columns)
-    target = ell * (n - 1) - t
-    witnesses = []
-    for i, b in enumerate(assigned):
-        w = witness_space[b]
-        if intersect_dim(w, subspaces[i]):
-            raise AssertionError("assigned witness meets its own node")
-        wit = make_witness(code, i, w)
-        if wit.bw != target or wit.io != target:
-            raise AssertionError("planted witness misses the target metrics")
-        witnesses.append(wit)
-
+    probes = (wb_subspace(ext, b1), wb_subspace(ext, b2))
+    code, witnesses = _planted_code(
+        [spread.member(c) for c in omega], probes, counting_bound(n, 2, ell, q)
+    )
+    assigned = tuple(b1 if wit.space == probes[0] else b2 for wit in witnesses)
     plan = TwoParityPlan(
         q=q,
         ell=ell,
@@ -192,9 +209,8 @@ def build_two_parity_code(
         coset2=coset2,
         omega=omega,
         assigned_b=assigned,
-        required_points=tuple(required),
     )
-    return code, tuple(witnesses), plan
+    return code, witnesses, plan
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,14 +259,12 @@ def hit_set(
     checked against the fractional linear image of P^1(GF(q)).
     """
     spread = _mirror_spread(ext)
-    hits: dict[Label, int] = {}
-    for lab, member in zip(spread.labels, spread.members):
-        d = intersect_dim(w, member)
-        if d:
-            hits[lab] = d
-    if w not in spread.members and any(d != 1 for d in hits.values()):
+    hits = spread.meets(w)
+    if w not in spread.members and any(
+        (spread.members[j].point_mask & w.point_mask).bit_count() != 1 for j in hits
+    ):
         raise AssertionError("non member meets a spread member off a line")
-    out = frozenset(hits)
+    out = frozenset(spread.labels[j] for j in hits)
     if g is not None:
         image = frozenset(mobius_image(ext, g, s) for s in _base_line(ext))
         if image != out:
@@ -304,36 +318,8 @@ def build_exceptional(case: str) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
         if hit_set(w, ext, g=g) != hits:
             raise AssertionError("probe hit set differs from the recorded one")
 
-    subspaces = [spread.member(s) for s in omega]
-    chosen: list[int] = []
-    columns: list[tuple[ProjPoint, ...]] = []
-    for s, member in zip(omega, subspaces):
-        misses = [i for i in range(len(probes)) if s not in expected[i]]
-        if not misses:
-            raise AssertionError("some probe must miss every node label")
-        chosen.append(misses[0])
-        forced = []
-        for i in range(len(probes)):
-            if s not in expected[i]:
-                continue
-            meet = subspace_intersection(probes[i], member)
-            if meet.dim != 1:
-                raise AssertionError("probe meets a hit member off a line")
-            forced.append(proj_point(ext.base, meet.basis_rows()[0]))
-        forced = sorted(set(forced))
-        if len(forced) > member.dim:
-            raise AssertionError("a node label lies in too many hit sets")
-        columns.append(_fill_columns(member, forced))
-
-    code = code_from_intrinsic(subspaces, column_points=columns)
-    target = 2 * (len(omega) - 1) - projective_point_count(2, q)
-    witnesses = []
-    for i, pick in enumerate(chosen):
-        wit = make_witness(code, i, probes[pick])
-        if wit.bw != target or wit.io != target:
-            raise AssertionError("planted witness misses the target metrics")
-        witnesses.append(wit)
-    return code, tuple(witnesses)
+    target = counting_bound(len(omega), 2, 2, q)
+    return _planted_code([spread.member(s) for s in omega], probes, target)
 
 
 @dataclass(frozen=True)
@@ -425,32 +411,6 @@ class ConverseReport:
     ok: bool
 
 
-def _spread_hit_sets(spread: Spread) -> tuple[int, tuple[frozenset[int], ...]]:
-    """Distinct member index sets met by non member candidate subspaces.
-
-    Every non member meets exactly q+1 members, and the subspaces sharing
-    one hit set are the transversals of that regulus.
-    """
-    field = spread.field
-    q = field.q
-    members = spread.members
-    member_set = set(members)
-    probes = 0
-    seen: set[frozenset[int]] = set()
-    for w in all_subspaces(field, 2 * spread.ell, spread.ell):
-        probes += 1
-        if w in member_set:
-            continue
-        hits = frozenset(j for j, m in enumerate(members) if intersect_dim(w, m))
-        if len(hits) != q + 1:
-            raise AssertionError("a non member must meet exactly q+1 members")
-        seen.add(hits)
-    expected = (probes - len(members)) // (q + 1)
-    if len(seen) != expected:
-        raise AssertionError("hit set count differs from the transversal count")
-    return probes, tuple(sorted(seen, key=sorted))
-
-
 def _attaining_nodes(subset: frozenset[int], hitsets: Sequence[frozenset[int]]) -> set[int]:
     out: set[int] = set()
     for h in hitsets:
@@ -468,8 +428,9 @@ def regular_spread_converse_check(
     attains all four metrics, confirmed by exhaustive search.  Converse:
     for n below that range, no subset of spread members yields a code
     whose every node meets the bound; subsets where some node does are
-    counted rather than hidden.  Exhaustive over subsets for q = 3,
-    seeded samples for q = 4.
+    counted rather than hidden.  Exhaustive over subsets for q = 3, and
+    for q = 4 at every n with at most `samples` subsets; otherwise
+    `samples` seeded draws, with replacement.
     """
     ell = 2
     lo = min(2 * q + 2, 3 * q - 3)
@@ -498,11 +459,14 @@ def regular_spread_converse_check(
         )
 
     spread = desarguesian_spread(q, ell)
-    probes, hitsets = _spread_hit_sets(spread)
+    counts = hit_set_counts(spread)
+    if set(counts.values()) != {q + 1}:
+        raise AssertionError("the field spread's hit sets are not all reguli")
+    hitsets = tuple(sorted(counts, key=sorted))
     rng = random.Random(seed)
     converse = []
     for n in range(3, lo):
-        exhaustive = q == 3
+        exhaustive = q == 3 or math.comb(len(spread), n) <= samples
         if exhaustive:
             pool: Iterable[tuple[int, ...]] = itertools.combinations(range(len(spread)), n)
         else:
@@ -531,7 +495,7 @@ def regular_spread_converse_check(
         q=q,
         lo=lo,
         hi=hi,
-        probes=probes,
+        probes=sum(counts.values()) + len(spread),
         reguli=len(hitsets),
         forward=tuple(forward),
         converse=tuple(converse),

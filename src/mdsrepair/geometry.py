@@ -4,18 +4,25 @@ A spread of PG(2*ell-1, q) is modeled as a family of ell dimensional
 subspaces of F_q^(2*ell) that partition the nonzero vectors.  Members
 carry labels from GF(q^ell) together with INF for the member at infinity
 when the spread comes from a field construction.
+
+Which members a subspace meets is read off projective point masks
+(Spread.meets), and regularity is one pass over those hit sets;
+regulus_through and is_spread stay rank-based, as independent oracles.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
 from .gf import ExtensionCtx, FieldCtx, field_of_order, make_extension
 from .linalg import (
+    DEFAULT_ENUM_BUDGET,
+    BudgetExceededError,
     Subspace,
+    candidate_spaces,
     intersect_dim,
     projective_points,
     subspace_intersection,
@@ -42,6 +49,11 @@ class Spread:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def meets(self, w: Subspace) -> frozenset[int]:
+        """Indices of the members sharing a projective point with w."""
+        wm = w.point_mask
+        return frozenset(j for j, m in enumerate(self.members) if m.point_mask & wm)
 
 
 def desarguesian_member(ext: ExtensionCtx, label: Label) -> Subspace:
@@ -191,15 +203,45 @@ def transversal_regulus(m: Subspace, spread: Spread) -> tuple[Subspace, ...]:
         raise ValueError("m must be a line of PG(3, q)")
     if m in spread.members:
         raise ValueError("m must not belong to the spread")
-    hit = tuple(sorted(L for L in spread.members if intersect_dim(L, m) > 0))
+    hit = tuple(sorted(spread.members[j] for j in spread.meets(m)))
     assert len(hit) == spread.field.q + 1
     return hit
 
 
+def hit_set_counts(spread: Spread) -> Counter[frozenset[int]]:
+    """How many lines of PG(3, q) outside the spread meet each set of members.
+
+    The points of an outside line lie on distinct members, so it meets
+    exactly q+1 of them; the lines sharing one hit set all meet three of
+    its members, so they are transversals of the regulus through those
+    three, at most q+1 lines.  Raises BudgetExceededError when PG(3, q)
+    has more than DEFAULT_ENUM_BUDGET lines.
+    """
+    if spread.ell != 2:
+        raise ValueError("hit sets are defined here for spreads of PG(3, q) only")
+    q = spread.field.q
+    lines, total = candidate_spaces(spread.field, 4, 2, DEFAULT_ENUM_BUDGET)
+    if total > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"{total} lines exceed the budget of {DEFAULT_ENUM_BUDGET}"
+        )
+    member_set = set(spread.members)
+    counts: Counter[frozenset[int]] = Counter()
+    for w in lines:
+        if w in member_set:
+            continue
+        hits = spread.meets(w)
+        if len(hits) != q + 1:
+            raise AssertionError("a line outside the spread must meet exactly q+1 members")
+        counts[hits] += 1
+    return counts
+
+
 @dataclass(frozen=True)
 class RegularityCheck:
+    """Verdict on the C(|S|, 3) member triples; witness is a failing triple."""
+
     ok: bool
-    mode: str
     triples_checked: int
     witness: tuple[Subspace, ...] | None = None
 
@@ -207,32 +249,22 @@ class RegularityCheck:
         return self.ok
 
 
-def is_regular_spread(
-    spread: Spread,
-    *,
-    sample: int | None = None,
-    seed: int = 0,
-) -> RegularityCheck:
+def is_regular_spread(spread: Spread) -> RegularityCheck:
     """Whether every regulus through three members lies inside the spread.
 
-    Checks all member triples when their number is at most sample (or
-    always when sample is None); otherwise checks a seeded random sample.
+    Exact, by one hit-set pass: the spread is regular iff every hit set
+    is shared by exactly q+1 lines.  A hit set that is a regulus is shared
+    by its q+1 transversals; any other is shared by fewer, and the regulus
+    through any three of its members leaves the spread, so those three
+    are the witness.
     """
-    if spread.ell != 2:
-        raise ValueError("regularity is defined here for spreads of PG(3, q) only")
-    member_set = frozenset(spread.members)
-    triples = list(itertools.combinations(spread.members, 3))
-    if sample is not None and len(triples) > sample:
-        rng = random.Random(seed)
-        triples = rng.sample(triples, sample)
-        mode = "sampled"
-    else:
-        mode = "exhaustive"
-    for checked, (a, b, c) in enumerate(triples, start=1):
-        reg = regulus_through(a, b, c)
-        if not set(reg.lines) <= member_set:
-            return RegularityCheck(False, mode, checked, (a, b, c))
-    return RegularityCheck(True, mode, len(triples))
+    q = spread.field.q
+    triples = math.comb(len(spread), 3)
+    for hits, count in hit_set_counts(spread).items():
+        if count != q + 1:
+            witness = tuple(spread.members[j] for j in sorted(hits)[:3])
+            return RegularityCheck(False, triples, witness)
+    return RegularityCheck(True, triples)
 
 
 def replace_regulus(spread: Spread, reg: Regulus) -> Spread:

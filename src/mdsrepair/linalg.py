@@ -57,10 +57,6 @@ class MatrixGF:
     def identity(cls, field: FieldCtx, n: int) -> MatrixGF:
         return cls(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, field: FieldCtx, rows: int, cols: int) -> MatrixGF:
-        return cls(field, rows, cols, (0,) * (rows * cols))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -427,6 +423,21 @@ def all_subspaces(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[Subspace
             f"{total} subspaces exceed the cache limit of {_CACHE_LIMIT}"
         )
     return tuple(enumerate_subspaces(field, ambient_dim, dim, budget=None))
+
+
+def candidate_spaces(
+    field: FieldCtx, ambient_dim: int, dim: int, budget: int
+) -> tuple[Iterable[Subspace], int]:
+    """Every dim dimensional subspace, in enumeration order, and their count.
+
+    The cached tuple of all_subspaces when the count fits both the budget
+    and the cache, so repeated passes reuse the subspaces and their point
+    masks; otherwise a fresh stream, which the caller cuts or refuses.
+    """
+    total = gaussian_binomial(ambient_dim, dim, field.q)
+    if total <= min(budget, _CACHE_LIMIT):
+        return all_subspaces(field, ambient_dim, dim), total
+    return enumerate_subspaces(field, ambient_dim, dim, budget=None), total
 
 
 def projective_point_count(dim: int, q: int) -> int:

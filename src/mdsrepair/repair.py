@@ -15,18 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .code import ArrayCode, code_from_intrinsic, is_mds
 from .gf import FieldCtx
 from .linalg import (
-    _CACHE_LIMIT,
     BudgetExceededError,
     DEFAULT_ENUM_BUDGET,
     MatrixGF,
     Subspace,
     all_subspaces,
-    enumerate_subspaces,
+    candidate_spaces,
     gaussian_binomial,
     intersect_dim,
     kernel,
@@ -201,17 +200,6 @@ def _checked_witness(
     return wit
 
 
-def _candidate_spaces(code: ArrayCode, budget: int) -> tuple[Iterable[Subspace], int]:
-    wdim = (code.r - 1) * code.ell
-    total = gaussian_binomial(code.ambient_dim, wdim, code.field.q)
-    if total <= min(budget, _CACHE_LIMIT):
-        return all_subspaces(code.field, code.ambient_dim, wdim), total
-    return (
-        enumerate_subspaces(code.field, code.ambient_dim, wdim, budget=None),
-        total,
-    )
-
-
 def _scan(
     code: ArrayCode,
     nodes: Sequence[int],
@@ -222,7 +210,9 @@ def _scan(
     Keeps the first maximizer in enumeration order for each node and
     objective.  Scans min(budget, total) candidates.
     """
-    cands, total = _candidate_spaces(code, budget)
+    cands, total = candidate_spaces(
+        code.field, code.ambient_dim, (code.r - 1) * code.ell, budget
+    )
     profile = _mask_profiler(code)
     best_dim: dict[int, tuple[int, Subspace]] = {}
     best_pts: dict[int, tuple[int, Subspace]] = {}
@@ -296,21 +286,6 @@ def optimal_alpha(
     witness = _checked_witness(code, node, w, "bw", alpha)
     _check_node_invariants(code, node, alpha, witness, cap)
     return alpha, witness
-
-
-def optimal_lambda(
-    code: ArrayCode, node: int, *, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[int, RepairWitness]:
-    """Exhaustive maximum of the total captured column point count."""
-    _require_repairable(code, node)
-    total = gaussian_binomial(code.ambient_dim, (code.r - 1) * code.ell, code.field.q)
-    if total > budget:
-        raise BudgetExceededError(f"{total} candidates exceed the budget of {budget}")
-    _, best_pts, _, _, _ = _scan(code, [node], budget)
-    if node not in best_pts:
-        raise AssertionError("no feasible repair subspace exists for an MDS code node")
-    lam, w = best_pts[node]
-    return lam, _checked_witness(code, node, w, "io", lam)
 
 
 def _require_repairable(code: ArrayCode, node: int | None = None) -> None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mdsrepair import cli
+from mdsrepair import cli, geometry
 from mdsrepair.cli import run
 from mdsrepair.code import MdsCheck, code_from_intrinsic, deserialize, serialize
 from mdsrepair.constructions import build_two_parity_code
@@ -244,9 +244,8 @@ def test_simulate_repair(capsys, tmp_path):
         ["simulate", "repair", "--node", "0", "--trials", "0"],
         ["check", "strictness", "--trials", "-3"],
         ["check", "converse", "--q", "4", "--samples", "0"],
-        ["geometry", "regular", "--q", "3", "--sample", "0"],
     ],
-    ids=["budget", "trials-simulate", "trials-strictness", "samples", "sample"],
+    ids=["budget", "trials-simulate", "trials-strictness", "samples"],
 )
 def test_counts_below_one_are_exit_1(capsys, argv):
     # a count of zero would check nothing and still print "ok"
@@ -269,6 +268,15 @@ def test_budget_too_small_is_exit_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "mdsrepair: error: 130 candidates exceed the budget of 5" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_regularity_pass_over_the_line_budget_is_exit_1(capsys, monkeypatch):
+    # PG(3, 3) has 130 lines
+    monkeypatch.setattr(geometry, "DEFAULT_ENUM_BUDGET", 129)
+    code, out, err = _run(capsys, ["geometry", "regular", "--q", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "mdsrepair: error: 130 lines exceed the budget of 129\n"
 
 
 def test_internal_check_failure_is_exit_2_without_traceback(capsys, monkeypatch):

@@ -1,8 +1,11 @@
+import hashlib
+import math
 import random
+import time
 
 import pytest
 
-from mdsrepair.code import is_mds
+from mdsrepair.code import is_mds, serialize
 from mdsrepair.constructions import (
     build_exceptional,
     build_two_parity_code,
@@ -144,6 +147,27 @@ def test_two_parity_dispatches_short_lengths():
         assert code.n == n
         target = 2 * (n - 1) - (q + 1)
         assert all(w.bw == target and w.io == target for w in wits)
+
+
+def test_planted_codes_are_byte_identical():
+    # sha256 over every two parity length for (3,2), (4,2), (3,3) and the
+    # three catalog codes: the serialized code, then each witness space;
+    # pinned when the two builders still planted their probes separately
+    digest = hashlib.sha256()
+    cases = []
+    for q, ell in ((3, 2), (4, 2), (3, 3)):
+        t = projective_point_count(ell, q)
+        for n in range(min(2 * t, 3 * t - 6), q**ell + 2):
+            cases.append(build_two_parity_code(q, ell, n)[:2])
+    cases += [build_exceptional(case) for case in ("q3n6", "q3n7", "q4n9")]
+    for code, wits in cases:
+        digest.update(serialize(code).encode())
+        for wit in wits:
+            digest.update(bytes(wit.space.entries))
+    assert len(cases) == 20
+    assert digest.hexdigest() == (
+        "069dc351e1472d658e4113604d403d3191a750a485db0a4dc4caebefa70f16f8"
+    )
 
 
 def test_mobius_image_matches_direct_transport():
@@ -301,3 +325,20 @@ def test_converse_sampled_q4():
     assert report.reguli == 68
     assert (report.lo, report.hi) == (9, 17)
     assert all(c.code_attaining == 0 for c in report.converse)
+
+
+def test_converse_q4_is_exhaustive_where_samples_cover_every_subset():
+    t0 = time.perf_counter()
+    report = regular_spread_converse_check(4, samples=10**8)
+    assert time.perf_counter() - t0 < 20
+    assert report.ok
+    assert [c.n for c in report.converse] == list(range(3, 9))
+    for c in report.converse:
+        assert c.mode == "exhaustive"
+        assert c.subsets == math.comb(17, c.n)
+        assert c.code_attaining == 0
+    # only n = 3 has at most 700 subsets
+    report = regular_spread_converse_check(4, samples=700)
+    assert [(c.mode, c.subsets) for c in report.converse] == (
+        [("exhaustive", 680)] + [("sampled", 700)] * 5
+    )

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from mdsrepair.geometry import (
     conjugate_spread,
     desarguesian_member,
     desarguesian_spread,
+    hit_set_counts,
     is_regular_spread,
     is_spread,
     opposite_regulus,
@@ -108,22 +110,50 @@ def test_regulus_needs_skew_lines():
         regulus_through(a, b, c)
 
 
+def _regular_by_triples(spread):
+    """The per-triple oracle: every regulus through three members stays inside."""
+    members = set(spread.members)
+    return all(
+        set(regulus_through(*trio).lines) <= members
+        for trio in itertools.combinations(spread.members, 3)
+    )
+
+
 def test_field_spreads_are_regular():
-    for q in (2, 3, 4):
+    # the hit-set pass against the regulus oracle: a regular spread of
+    # PG(3, q) has q(q^2+1) hit sets, the reguli, each shared by the q+1
+    # lines of the opposite regulus
+    for q, reguli in ((2, 10), (3, 30), (4, 68)):
         s = desarguesian_spread(q, 2)
-        check = is_regular_spread(s, sample=60, seed=0)
-        assert check.ok
-        assert check.mode == ("exhaustive" if q == 2 else "sampled")
+        counts = hit_set_counts(s)
+        assert len(counts) == reguli
+        assert set(counts.values()) == {q + 1}
+        check = is_regular_spread(s)
+        assert check.ok and check.witness is None
+        assert check.triples_checked == math.comb(q * q + 1, 3)
+        assert _regular_by_triples(s)
 
 
-def test_regulus_replacement_breaks_regularity_for_q3():
+def test_regulus_replacement_breaks_regularity():
+    for q, hitsets in ((3, 90), (4, 288)):
+        s = desarguesian_spread(q, 2)
+        swapped = replace_regulus(s, regulus_through(*s.members[:3]))
+        assert is_spread(swapped.field, 2, swapped.members)
+        counts = hit_set_counts(swapped)
+        assert len(counts) == hitsets
+        check = is_regular_spread(swapped)
+        assert not check.ok
+        assert check.triples_checked == math.comb(q * q + 1, 3)
+        assert not _regular_by_triples(swapped)
+        # the witness comes from a hit set shared by fewer than q+1 lines
+        assert not set(regulus_through(*check.witness).lines) <= set(swapped.members)
+
+
+def test_meets_matches_rank_intersection():
     s = desarguesian_spread(3, 2)
-    reg = regulus_through(*s.members[:3])
-    swapped = replace_regulus(s, reg)
-    assert is_spread(swapped.field, 2, swapped.members)
-    check = is_regular_spread(swapped)
-    assert not check.ok
-    assert check.witness is not None
+    for w in all_subspaces(s.field, 4, 2):
+        naive = {j for j, m in enumerate(s.members) if intersect_dim(w, m) > 0}
+        assert s.meets(w) == naive
 
 
 def test_regulus_replacement_is_invisible_for_q2():

@@ -20,7 +20,6 @@ from mdsrepair.repair import (
     counting_bound,
     make_witness,
     optimal_alpha,
-    optimal_lambda,
     random_mds_code,
     repair_matrix_from_subspace,
     repair_report,
@@ -155,11 +154,12 @@ def test_optimal_lambda_never_exceeds_alpha():
     field = field_of_order(2)
     for _ in range(6):
         code = random_mds_code(field, 2, 2, 4, rng)
+        rep = repair_report(code)
         for node in range(code.n):
             alpha, _ = optimal_alpha(code, node)
-            lam, wit = optimal_lambda(code, node)
-            assert lam <= alpha
-            assert wit.io == code.ell * (code.n - 1) - lam
+            nd = rep.nodes[node]
+            assert nd.lam <= alpha
+            assert nd.lambda_witness.io == code.ell * (code.n - 1) - nd.lam
 
 
 def test_mask_scan_matches_rank_oracle():
@@ -180,8 +180,14 @@ def test_budget_errors():
     code = _spread_code(3, 6)
     with pytest.raises(BudgetExceededError):
         optimal_alpha(code, 0, budget=10)
-    with pytest.raises(BudgetExceededError):
-        optimal_lambda(code, 0, budget=10)
+    # ten candidates hold no repair subspace for some node; thirty give a
+    # partial report whose lambdas are lower bounds
+    with pytest.raises(AssertionError, match="within the budget"):
+        repair_report(code, budget=10)
+    full = repair_report(code)
+    part = repair_report(code, budget=30)
+    assert not part.exhaustive
+    assert all(p.lam <= f.lam for p, f in zip(part.nodes, full.nodes))
 
 
 def test_repair_report_fields_and_invariants():
