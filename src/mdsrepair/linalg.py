@@ -16,6 +16,7 @@ from .gf import FieldCtx
 
 DEFAULT_ENUM_BUDGET = 10**7
 _CACHE_LIMIT = 500_000
+_INCIDENCE_STEP = 512  # spaces transposed at once by point_incidence; a multiple of 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -423,6 +424,39 @@ def all_subspaces(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[Subspace
             f"{total} subspaces exceed the cache limit of {_CACHE_LIMIT}"
         )
     return tuple(enumerate_subspaces(field, ambient_dim, dim, budget=None))
+
+
+def point_incidence(spaces: Sequence[Subspace], npoints: int) -> list[int]:
+    """The transpose of the spaces' point masks: one bitset per point bit.
+
+    Bit c of entry b is bit b of spaces[c].point_mask; npoints bounds the
+    point bits.  Steps of _INCIDENCE_STEP spaces are written out as a
+    '0'/'1' matrix, last space first, whose columns a strided slice reads
+    as base 2 numerals into preallocated byte rows.  Each row then becomes
+    an int and is dropped, one point at a time, so the bytes and the ints
+    are never all held at once.
+    """
+    width = f"0{npoints}b"
+    nbytes = (len(spaces) + 7) >> 3
+    rows = [bytearray(nbytes) for _ in range(npoints)]
+    for start in range(0, len(spaces), _INCIDENCE_STEP):
+        step = [format(w.point_mask, width) for w in spaces[start : start + _INCIDENCE_STEP]]
+        step += ["0" * npoints] * (-len(step) % 8)
+        step.reverse()
+        mat = "".join(step)
+        del step
+        lo, hi = start >> 3, (start + len(mat) // npoints) >> 3
+        for b, row in enumerate(rows):
+            row[lo:hi] = int(mat[npoints - 1 - b :: npoints], 2).to_bytes(hi - lo, "little")
+    rows.reverse()
+    return [int.from_bytes(rows.pop(), "little") for _ in range(npoints)]
+
+
+@functools.lru_cache(maxsize=64)
+def subspace_incidence(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[int, ...]:
+    """point_incidence of all_subspaces(field, ambient_dim, dim), cached beside it."""
+    npoints = projective_point_count(ambient_dim, field.q)
+    return tuple(point_incidence(all_subspaces(field, ambient_dim, dim), npoints))
 
 
 def candidate_spaces(

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 from .code import ArrayCode, code_from_intrinsic, is_mds
 from .gf import FieldCtx
@@ -29,12 +29,16 @@ from .linalg import (
     gaussian_binomial,
     intersect_dim,
     kernel,
+    point_incidence,
     points_mask,
     projective_point_count,
+    subspace_incidence,
     subspace_sum,
 )
 
 log = logging.getLogger(__name__)
+
+_CHUNK = 1 << 15  # streamed candidates per block of the scan
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -143,30 +147,6 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
     return dims, zs
 
 
-def _mask_profiler(code: ArrayCode) -> Callable[[Subspace], tuple[list[int], list[int]]]:
-    """The profile of _rank_profile, computed from projective point masks.
-
-    W meet H_j is a subspace, so its point count (q^t - 1)/(q - 1) fixes its
-    dimension t; the captured column points are W's points among C_j.
-    """
-    f = code.field
-    node_masks = [h.point_mask for h in code.node_subspaces]
-    col_masks = [
-        points_mask(f, code.ambient_dim, (p.representative for p in plist))
-        for plist in code.column_points
-    ]
-    dim_of = {projective_point_count(t, f.q): t for t in range(code.ell + 1)}
-
-    def profile(w: Subspace) -> tuple[list[int], list[int]]:
-        wm = w.point_mask
-        return (
-            [dim_of[(wm & h).bit_count()] for h in node_masks],
-            [(wm & c).bit_count() for c in col_masks],
-        )
-
-    return profile
-
-
 def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
     """Wrap the repair subspace w as a witness for the given node."""
     if w.ambient_dim != code.ambient_dim or w.field != code.field:
@@ -200,51 +180,152 @@ def _checked_witness(
     return wit
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _add_bit(planes: list[int], x: int) -> None:
+    """Add the 0/1 bitset x to a bit-sliced counter, least significant plane first."""
+    for k, p in enumerate(planes):
+        if not x:
+            return
+        planes[k] = p ^ x
+        x &= p
+    if x:
+        planes.append(x)
+
+
+def _max_first(planes: list[int], live: int) -> tuple[int, int]:
+    """The largest count over the positions of live, and the lowest position holding it.
+
+    Narrows live plane by plane from the most significant one, keeping the
+    positions whose count has the bit whenever any of them does.
+    """
+    value = 0
+    for k in range(len(planes) - 1, -1, -1):
+        hit = live & planes[k]
+        if hit:
+            live = hit
+            value |= 1 << k
+    return value, (live & -live).bit_length() - 1
+
+
+def _blocks(
+    stream: Iterator[Subspace], npoints: int
+) -> Iterator[tuple[tuple[Subspace, ...], list[int]]]:
+    """A candidate stream cut into blocks of _CHUNK, each with its point incidence."""
+    while block := tuple(islice(stream, _CHUNK)):
+        yield block, point_incidence(block, npoints)
+
+
 def _scan(
     code: ArrayCode,
     nodes: Sequence[int],
     budget: int,
 ) -> tuple[dict[int, tuple[int, Subspace]], dict[int, tuple[int, Subspace]], int, int, list[str]]:
-    """Stream candidate repair subspaces, track per node maxima of both objectives.
+    """Per node maxima of both objectives over the first min(budget, total) candidates.
 
-    Keeps the first maximizer in enumeration order for each node and
-    objective.  Scans min(budget, total) candidates.
+    Works on bitsets over candidate positions, built from the point
+    incidence: the cached candidate tuple is one block, a stream is cut
+    into blocks of _CHUNK.  Per node j, the rows of H_j's points add up to
+    a bit-sliced count of the points of W meet H_j, which is
+    (q^t - 1)/(q - 1) for t = dim(W meet H_j).  That number lies in
+    [2^k, 2^(k+1)), k its bit length minus 1, and every smaller such count
+    lies below 2^k; so dim >= t exactly where a plane k or higher is set.
+    Summing those bitsets over (j, t) gives the total intersection
+    dimension, and summing the column point rows the total captured points.
+    On the candidates missing H_i both totals are node i's objectives.  The
+    first maximizer in enumeration order is the lowest position, and blocks
+    merge with a strict >, so an earlier block keeps a tie.
     """
-    cands, total = candidate_spaces(
-        code.field, code.ambient_dim, (code.r - 1) * code.ell, budget
-    )
-    profile = _mask_profiler(code)
+    f = code.field
+    d = code.ambient_dim
+    wdim = (code.r - 1) * code.ell
+    npoints = projective_point_count(d, f.q)
+    tops = [projective_point_count(t, f.q).bit_length() - 1 for t in range(1, code.ell + 1)]
+    col_masks = [
+        points_mask(f, d, (p.representative for p in plist)) for plist in code.column_points
+    ]
+    if any(cm & ~h.point_mask for cm, h in zip(col_masks, code.node_subspaces)):
+        raise ValueError("column point outside its node subspace")
+    node_bits = [list(_bits(h.point_mask)) for h in code.node_subspaces]
+    col_bits = [list(_bits(cm)) for cm in col_masks]
+    cands, total = candidate_spaces(f, d, wdim, budget)
+    if isinstance(cands, tuple):
+        blocks: Iterable[tuple[Sequence[Subspace], Sequence[int]]] = [
+            (cands, subspace_incidence(f, d, wdim))
+        ]
+    else:
+        blocks = _blocks(islice(cands, budget), npoints)
     best_dim: dict[int, tuple[int, Subspace]] = {}
     best_pts: dict[int, tuple[int, Subspace]] = {}
     anomalies: list[str] = []
     scanned = 0
-    for w in cands:
-        if scanned == budget:
-            break
-        scanned += 1
-        dims, zs = profile(w)
-        for j in range(code.n):
-            if zs[j] > dims[j]:
+    for block, inc in blocks:
+        dim_total: list[int] = []
+        pts_total: list[int] = []
+        meets = []  # per node, the candidates meeting H_j
+        excess = []  # per node, the candidates capturing more points than their dimension
+        for nb, cb in zip(node_bits, col_bits):
+            count: list[int] = []
+            for b in nb:
+                _add_bit(count, inc[b])
+            for k in range(len(count) - 2, -1, -1):
+                count[k] |= count[k + 1]  # now: a plane k or higher is set
+            at_least = [count[k] if k < len(count) else 0 for k in tops]  # dim >= 1, ..., ell
+            for x in at_least:
+                _add_bit(dim_total, x)
+            meets.append(at_least[0])
+            captured: list[int] = []  # captured[s - 1]: at least s column points in W
+            for b in cb:
+                x = inc[b]
+                _add_bit(pts_total, x)
+                captured.append(0)
+                for s in range(len(captured) - 1, 0, -1):
+                    captured[s] |= captured[s - 1] & x
+                captured[0] |= x
+            bad = 0
+            for s, z in enumerate(captured):
+                bad |= z & ~at_least[s] if s < len(at_least) else z
+            excess.append(bad)
+        if any(excess):
+            anomalies.extend(_anomaly_messages(code, block, excess, col_masks))
+        live = (1 << len(block)) - 1
+        for i in nodes:
+            miss = live & ~meets[i]
+            if not miss:
+                continue
+            for best, planes in ((best_dim, dim_total), (best_pts, pts_total)):
+                value, pos = _max_first(planes, miss)
+                if i not in best or value > best[i][0]:
+                    best[i] = (value, block[pos])
+        scanned += len(block)
+    return best_dim, best_pts, total, scanned, anomalies
+
+
+def _anomaly_messages(
+    code: ArrayCode, block: Sequence[Subspace], excess: list[int], col_masks: list[int]
+) -> list[str]:
+    """One message per flagged (candidate, node), candidate-major, with z, dim and W."""
+    dim_of = {projective_point_count(t, code.field.q): t for t in range(code.ell + 1)}
+    msgs = []
+    for pos in _bits(reduce(int.__or__, excess)):
+        wm = block[pos].point_mask
+        for j, bad in enumerate(excess):
+            if bad >> pos & 1:
+                z = (wm & col_masks[j]).bit_count()
+                dim = dim_of[(wm & code.node_subspaces[j].point_mask).bit_count()]
                 msg = (
                     f"captured points exceed intersection dimension at node {j}: "
-                    f"z={zs[j]} dim={dims[j]} W={w.entries}"
+                    f"z={z} dim={dim} W={block[pos].entries}"
                 )
                 log.warning(msg)
-                anomalies.append(msg)
-        dim_total = sum(dims)
-        pts_total = sum(zs)
-        for i in nodes:
-            if dims[i]:
-                continue
-            a = dim_total - dims[i]
-            l = pts_total - zs[i]
-            cur = best_dim.get(i)
-            if cur is None or a > cur[0]:
-                best_dim[i] = (a, w)
-            cur = best_pts.get(i)
-            if cur is None or l > cur[0]:
-                best_pts[i] = (l, w)
-    return best_dim, best_pts, total, scanned, anomalies
+                msgs.append(msg)
+    return msgs
 
 
 def _check_node_invariants(
@@ -300,7 +381,9 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
 
     When the candidate count exceeds the budget only a prefix is scanned:
     alpha and lambda become lower bounds, beta and gamma upper bounds, and
-    the attainment flags are dropped from the aggregate properties.
+    the attainment flags are dropped from the aggregate properties.  A
+    prefix holding no repair subspace for some node raises
+    BudgetExceededError.
     """
     _require_repairable(code)
     q = code.field.q
@@ -313,10 +396,12 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     summaries = []
     for i in nodes:
         if i not in best_dim:
-            raise AssertionError(
-                "no feasible repair subspace found"
-                + ("" if exhaustive else " within the budget")
-            )
+            if not exhaustive:
+                raise BudgetExceededError(
+                    f"no repair subspace for node {i} among the first {scanned} "
+                    f"of {total} candidates"
+                )
+            raise AssertionError("no feasible repair subspace found")
         alpha, wa = best_dim[i]
         lam, wl = best_pts[i]
         if lam > alpha:

@@ -1,12 +1,15 @@
-"""The benchmark wraps package functions by name and pins CLI output lines.
+"""The benchmark wraps package functions by name and pins answers.
 
-Each wrapped function must still exist and each pinned line must still
-be printed, so that a change breaking either fails here and not only in
-the benchmark.
+Each wrapped function must still exist, each pinned CLI line must still
+be printed and each workload's written-down answers must still hold, so
+that a change breaking any of them fails here and not only in the
+benchmark.
 """
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from mdsrepair import cli
 
@@ -36,3 +39,15 @@ def test_pinned_cli_lines_are_printed(capsys):
     assert capsys.readouterr().out.splitlines() == _load("workloads").CONVERSE_Q3
     assert cli.run(["geometry", "regular", "--q", "3"]) == 0
     assert capsys.readouterr().out == "regular spread check (exhaustive, 120 triples): ok\n"
+
+
+@pytest.mark.parametrize("name", ["scan_l3", "sweep_random"])
+def test_one_workload_cycle_gets_its_written_down_answers(name, tmp_path):
+    # small scan_l3 reports the l = 2 codes; sweep_random has one size
+    workloads = _load("workloads")
+    wl = workloads.WORKLOADS[name](11, True, tmp_path)
+    wl.setup()
+    ops = wl.cycle(0)
+    assert ops
+    for op in ops:
+        assert op.run() > 0, op.label  # raises workloads.Mismatch on a wrong answer

@@ -270,6 +270,23 @@ def test_budget_too_small_is_exit_1_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_budget_without_a_repair_subspace_is_exit_1_without_traceback(tmp_path):
+    # the first ten candidates miss no H_i for some node of this code
+    path = tmp_path / "code.json"
+    path.write_text(serialize(code_from_intrinsic(desarguesian_spread(3, 2).members[:6])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdsrepair.cli", "repair", "analyze",
+         "--code", str(path), "--budget", "10"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("mdsrepair: error: no repair subspace for node ")
+    assert proc.stderr.endswith(" among the first 10 of 130 candidates\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_regularity_pass_over_the_line_budget_is_exit_1(capsys, monkeypatch):
     # PG(3, 3) has 130 lines
     monkeypatch.setattr(geometry, "DEFAULT_ENUM_BUDGET", 129)

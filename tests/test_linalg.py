@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mdsrepair import linalg
 from mdsrepair._kernel import rre_rank, rref_rank
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import (
@@ -13,6 +14,7 @@ from mdsrepair.linalg import (
     intersect_dim,
     inverse,
     kernel,
+    point_incidence,
     proj_point,
     projective_point_count,
     projective_points,
@@ -227,3 +229,17 @@ def test_row_reduction_kernels_fixed_answers():
         assert rref_rank(buf, rows, cols, *tabs) == r
         assert tuple(buf[: r * cols]) == reduced
         assert not any(buf[r * cols :])
+
+
+@pytest.mark.parametrize("step", [8, 512])
+def test_point_incidence_is_the_transpose_of_point_masks(step, monkeypatch):
+    monkeypatch.setattr(linalg, "_INCIDENCE_STEP", step)
+    f = field_of_order(3)
+    npoints = projective_point_count(4, 3)
+    spaces = all_subspaces(f, 4, 2)
+    for length in (1, 7, 8, 9, 130):
+        masks = [w.point_mask for w in spaces[:length]]
+        want = [
+            sum(1 << c for c, m in enumerate(masks) if m >> b & 1) for b in range(npoints)
+        ]
+        assert point_incidence(spaces[:length], npoints) == want

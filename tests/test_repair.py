@@ -1,8 +1,10 @@
 import dataclasses
+import logging
 import random
 
 import pytest
 
+from mdsrepair import linalg, repair
 from mdsrepair.code import code_from_intrinsic
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
@@ -10,13 +12,16 @@ from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import (
     BudgetExceededError,
     all_subspaces,
+    enumerate_subspaces,
+    gaussian_binomial,
     intersect_dim,
     kernel,
+    proj_point,
     rank,
 )
 from mdsrepair.repair import (
-    _mask_profiler,
     _rank_profile,
+    _scan,
     counting_bound,
     make_witness,
     optimal_alpha,
@@ -162,27 +167,136 @@ def test_optimal_lambda_never_exceeds_alpha():
             assert nd.lambda_witness.io == code.ell * (code.n - 1) - nd.lam
 
 
-def test_mask_scan_matches_rank_oracle():
+def _reference_scan(code, nodes, budget):
+    """The per-candidate loop over the rank profile, keeping first maximizers."""
+    wdim = (code.r - 1) * code.ell
+    total = gaussian_binomial(code.ambient_dim, wdim, code.field.q)
+    best_dim, best_pts, anomalies = {}, {}, []
+    scanned = 0
+    for w in enumerate_subspaces(code.field, code.ambient_dim, wdim, budget=None):
+        if scanned == budget:
+            break
+        scanned += 1
+        dims, zs = _rank_profile(code, w)
+        for j in range(code.n):
+            if zs[j] > dims[j]:
+                anomalies.append(
+                    f"captured points exceed intersection dimension at node {j}: "
+                    f"z={zs[j]} dim={dims[j]} W={w.entries}"
+                )
+        for i in nodes:
+            if dims[i]:
+                continue
+            for best, value in ((best_dim, sum(dims) - dims[i]), (best_pts, sum(zs) - zs[i])):
+                if i not in best or value > best[i][0]:
+                    best[i] = (value, w)
+    return best_dim, best_pts, total, scanned, anomalies
+
+
+def _differential_codes():
     rng = random.Random(35)
     codes = [build_exceptional(case)[0] for case in ("q3n6", "q3n7", "q4n9")]
     codes.append(build_two_parity_code(3, 2, 8)[0])
     for q, ell, r in ((2, 2, 3), (2, 3, 2)):
         for n in (r + 1, r + 3):
             codes.append(random_mds_code(field_of_order(q), r, ell, n, rng))
-    for code in codes:
-        profile = _mask_profiler(code)
-        wdim = (code.r - 1) * code.ell
-        for w in all_subspaces(code.field, code.ambient_dim, wdim):
-            assert profile(w) == _rank_profile(code, w)
+    return codes
+
+
+@pytest.mark.parametrize("budget", [10**7, 30, 7], ids=["exhaustive", "budget-30", "budget-7"])
+def test_scan_matches_reference_scan(budget, monkeypatch):
+    # per node both maxima, both first maximizers, the scanned count and
+    # the anomalies of the bitset scan equal the per-candidate rank loop's;
+    # the scan itself reads point masks and reduces no matrix
+    def no_rank(*args):
+        raise AssertionError("the scan called the row-reduction kernel")
+
+    for code in _differential_codes():
+        nodes = list(range(code.n))
+        want = _reference_scan(code, nodes, budget)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "rre_rank", no_rank)
+            m.setattr(linalg, "rref_rank", no_rank)
+            got = _scan(code, nodes, budget)
+        assert got == want
+
+
+def test_streamed_blocks_match_the_cached_scan(monkeypatch):
+    code = build_two_parity_code(3, 2, 8)[0]
+    nodes = list(range(code.n))
+    cached = repair_report(code)
+    ref_dim, ref_pts, total, _, _ = _reference_scan(code, nodes, 10**7)
+    chunk = 7
+    # every maximizer position per node and objective, from the rank profile
+    spaces = all_subspaces(code.field, code.ambient_dim, code.ell)
+    profiles = [_rank_profile(code, w) for w in spaces]
+    split = 0
+    for i in nodes:
+        for best, col in ((ref_dim, 0), (ref_pts, 1)):
+            at_max = [
+                pos for pos, prof in enumerate(profiles)
+                if prof[0][i] == 0 and sum(prof[col]) - prof[col][i] == best[i][0]
+            ]
+            split += len({pos // chunk for pos in at_max}) > 1
+    assert split  # some run of maximizers crosses a block boundary
+
+    def refuse(*args):
+        raise AssertionError("the streamed scan read the cached incidence")
+
+    monkeypatch.setattr(linalg, "_CACHE_LIMIT", total - 1)
+    monkeypatch.setattr(repair, "_CHUNK", chunk)
+    monkeypatch.setattr(repair, "subspace_incidence", refuse)
+    assert repair_report(code) == cached
+    for budget in (10**7, 30):
+        assert _scan(code, nodes, budget) == _reference_scan(code, nodes, budget)
+
+
+def _collinear_columns_code(nodes):
+    """An ell = 3 code whose given nodes each have three collinear column points."""
+    code = random_mds_code(field_of_order(2), 2, 3, 4, random.Random(7))
+    f = code.field
+    points = list(code.column_points)
+    for j in nodes:
+        a, b = code.node_subspaces[j].basis_rows()[:2]
+        c = [f.add(x, y) for x, y in zip(a, b)]
+        points[j] = (proj_point(f, a), proj_point(f, b), proj_point(f, c))
+    return dataclasses.replace(code, column_points=tuple(points))
+
+
+def test_anomalies_match_reference_scan(monkeypatch, caplog):
+    # a W meeting node 1 or 3 in the line of its columns captures 3 points
+    # of a 2-dimensional intersection; messages come candidate by candidate
+    code = _collinear_columns_code([1, 3])
+    nodes = list(range(code.n))
+    want = _reference_scan(code, nodes, 10**7)[4]
+    flagged = [msg.split(":")[0][-1] for msg in want]
+    assert set(flagged) == {"1", "3"} and flagged != sorted(flagged)
+    assert all(": z=3 dim=2 W=" in msg for msg in want)
+    with caplog.at_level(logging.WARNING, logger="mdsrepair.repair"):
+        assert _scan(code, nodes, 10**7)[4] == want
+    assert [rec.getMessage() for rec in caplog.records] == want
+    monkeypatch.setattr(linalg, "_CACHE_LIMIT", 1)
+    monkeypatch.setattr(repair, "_CHUNK", 5)
+    assert _scan(code, nodes, 10**7)[4] == want
+    assert _scan(code, nodes, 200)[4] == _reference_scan(code, nodes, 200)[4]
+
+
+def test_scan_rejects_a_column_point_outside_its_node():
+    code = build_exceptional("q3n6")[0]
+    points = list(code.column_points)
+    points[0] = code.column_points[1]
+    with pytest.raises(ValueError, match="column point outside its node subspace"):
+        repair_report(dataclasses.replace(code, column_points=tuple(points)))
 
 
 def test_budget_errors():
     code = _spread_code(3, 6)
     with pytest.raises(BudgetExceededError):
         optimal_alpha(code, 0, budget=10)
-    # ten candidates hold no repair subspace for some node; thirty give a
-    # partial report whose lambdas are lower bounds
-    with pytest.raises(AssertionError, match="within the budget"):
+    # ten candidates hold no repair subspace for some node, which is a
+    # budget too small for the search; thirty give a partial report whose
+    # lambdas are lower bounds
+    with pytest.raises(BudgetExceededError, match="among the first 10 of 130 candidates"):
         repair_report(code, budget=10)
     full = repair_report(code)
     part = repair_report(code, budget=30)
