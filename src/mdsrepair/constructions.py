@@ -45,7 +45,7 @@ from .linalg import (
     projective_points,
     subspace_intersection,
 )
-from .repair import RepairWitness, counting_bound, make_witness, repair_report
+from .repair import RepairWitness, _witness, counting_bound, repair_report
 
 
 def norm_kernel(ext: ExtensionCtx) -> frozenset[int]:
@@ -143,7 +143,8 @@ def _planted_code(
             raise AssertionError(f"node {i} holds more pinned points than columns")
         columns.append(_fill_columns(member, sorted(forced)))
     code = code_from_intrinsic(subspaces, column_points=columns)
-    witnesses = tuple(make_witness(code, i, w) for i, w in enumerate(repairs))
+    profiles: dict = {}  # the nodes repaired through one probe share its rank-oracle profile
+    witnesses = tuple(_witness(code, i, w, profiles) for i, w in enumerate(repairs))
     if any(wit.bw != target or wit.io != target for wit in witnesses):
         raise AssertionError("planted witness misses the target metrics")
     return code, witnesses

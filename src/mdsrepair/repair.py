@@ -128,6 +128,11 @@ def repair_matrix_from_subspace(w: Subspace, hi: Subspace) -> MatrixGF:
         raise ValueError("repair subspace must have dimension (r-1)*ell")
     if intersect_dim(w, hi) != 0:
         raise ValueError("repair subspace meets the failed node's subspace")
+    return _annihilator(w)
+
+
+def _annihilator(w: Subspace) -> MatrixGF:
+    """The reduced basis of the annihilator of w, as rows: the matrix whose kernel is w."""
     if w.dim == 0:
         return MatrixGF.identity(w.field, w.ambient_dim)
     return kernel(w.basis_matrix).basis_matrix
@@ -147,34 +152,54 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
     return dims, zs
 
 
-def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
-    """Wrap the repair subspace w as a witness for the given node."""
+_Profile = tuple[list[int], list[int], MatrixGF]  # dims, zs and the repair matrix of one W
+
+
+def _witness(
+    code: ArrayCode, node: int, w: Subspace, profiles: dict[Subspace, _Profile]
+) -> RepairWitness:
+    """make_witness, with w's profile taken from profiles or added to it.
+
+    The profile and the repair matrix depend on the code and w alone, so
+    the nodes sharing a repair subspace share one run of the rank oracle.
+    profiles must hold entries of this code only.
+    """
     if w.ambient_dim != code.ambient_dim or w.field != code.field:
         raise ValueError("repair subspace does not match the code")
     if w.dim != (code.r - 1) * code.ell:
         raise ValueError("repair subspace must have dimension (r-1)*ell")
-    dims, zs = _rank_profile(code, w)
+    if w not in profiles:
+        profiles[w] = (*_rank_profile(code, w), _annihilator(w))
+    dims, zs, matrix = profiles[w]
     if dims[node] != 0:
         raise ValueError("repair subspace meets the failed node's subspace")
     helpers = [j for j in range(code.n) if j != node]
-    bw = sum(code.ell - dims[j] for j in helpers)
-    io = sum(code.ell - zs[j] for j in helpers)
     return RepairWitness(
         node=node,
         space=w,
-        matrix=repair_matrix_from_subspace(w, code.node_subspaces[node]),
+        matrix=matrix,
         helper_dims=tuple((j, dims[j]) for j in helpers),
         helper_points=tuple((j, zs[j]) for j in helpers),
-        bw=bw,
-        io=io,
+        bw=sum(code.ell - dims[j] for j in helpers),
+        io=sum(code.ell - zs[j] for j in helpers),
     )
 
 
+def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
+    """Wrap the repair subspace w as a witness for the given node."""
+    return _witness(code, node, w, {})
+
+
 def _checked_witness(
-    code: ArrayCode, node: int, w: Subspace, cost: str, saving: int
+    code: ArrayCode,
+    node: int,
+    w: Subspace,
+    cost: str,
+    saving: int,
+    profiles: dict[Subspace, _Profile],
 ) -> RepairWitness:
-    """make_witness, asserting that its rank-oracle cost matches the scan's saving."""
-    wit = make_witness(code, node, w)
+    """A witness from the rank oracle, asserting that its cost matches the scan's saving."""
+    wit = _witness(code, node, w, profiles)
     if getattr(wit, cost) != code.ell * (code.n - 1) - saving:
         raise AssertionError(f"node {node}: the mask scan and the rank oracle disagree on {cost}")
     return wit
@@ -364,7 +389,7 @@ def optimal_alpha(
     if node not in best_dim:
         raise AssertionError("no feasible repair subspace exists for an MDS code node")
     alpha, w = best_dim[node]
-    witness = _checked_witness(code, node, w, "bw", alpha)
+    witness = _checked_witness(code, node, w, "bw", alpha, {})
     _check_node_invariants(code, node, alpha, witness, cap)
     return alpha, witness
 
@@ -393,6 +418,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     nodes = list(range(code.n))
     best_dim, best_pts, total, scanned, anomalies = _scan(code, nodes, budget)
     exhaustive = scanned == total
+    profiles: dict[Subspace, _Profile] = {}  # one rank-oracle run per distinct W
     summaries = []
     for i in nodes:
         if i not in best_dim:
@@ -408,8 +434,8 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
             raise AssertionError(
                 f"node {i}: captured points {lam} exceed intersection total {alpha}"
             )
-        wit_a = _checked_witness(code, i, wa, "bw", alpha)
-        wit_l = _checked_witness(code, i, wl, "io", lam)
+        wit_a = _checked_witness(code, i, wa, "bw", alpha, profiles)
+        wit_l = _checked_witness(code, i, wl, "io", lam, profiles)
         beta = code.ell * (code.n - 1) - alpha
         gamma = code.ell * (code.n - 1) - lam
         if exhaustive:
@@ -526,12 +552,18 @@ class SweepResult:
     sampling_failures: int
     nodes_checked: int
     min_slack: int | None
+    bound_range: tuple[int, int] | None  # (min, max) of the bound over the tested codes
     equality_cases: tuple[tuple[int, int], ...]  # (n, node) pairs with beta == bound
     violations: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def vacuous(self) -> bool:
+        """True when the bound is at most 0 for every tested code, so beta >= bound says nothing."""
+        return self.bound_range is None or self.bound_range[1] <= 0
 
 
 def _bound_sweep(
@@ -557,6 +589,7 @@ def _bound_sweep(
     failures = 0
     nodes_checked = 0
     min_slack: int | None = None
+    bounds: list[int] = []
     equalities: list[tuple[int, int]] = []
     violations: list[str] = []
     for trial in range(trials):
@@ -569,6 +602,7 @@ def _bound_sweep(
         codes += 1
         report = repair_report(code)
         assert report.exhaustive
+        bounds.append(report.bound)
         for nd in report.nodes:
             nodes_checked += 1
             slack = nd.beta - report.bound
@@ -597,6 +631,7 @@ def _bound_sweep(
         sampling_failures=failures,
         nodes_checked=nodes_checked,
         min_slack=min_slack,
+        bound_range=(min(bounds), max(bounds)) if bounds else None,
         equality_cases=tuple(equalities),
         violations=tuple(violations),
     )

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .code import ArrayCode, CodewordArr, codeword_space
-from .linalg import inverse, kernel, rank
+from .linalg import MatrixGF, inverse, kernel, rank
 from .repair import RepairWitness
 
 
@@ -37,9 +38,15 @@ class RepairTrace:
         return sum(c for _, c in self.accessed)
 
 
+@lru_cache(maxsize=1)
+def _codeword_basis(code: ArrayCode) -> tuple[tuple[tuple[int, ...], ...], MatrixGF]:
+    """A basis of ker(H) and H itself, kept for the code sampled last."""
+    return tuple(codeword_space(code).basis_rows()), code.parity_matrix()
+
+
 def sample_codeword(code: ArrayCode, seed: int) -> CodewordArr:
     """A codeword drawn uniformly from ker(H), deterministic per seed."""
-    basis = codeword_space(code).basis_rows()
+    basis, parity = _codeword_basis(code)
     field = code.field
     rng = random.Random(seed)
     flat = [0] * (code.n * code.ell)
@@ -53,7 +60,7 @@ def sample_codeword(code: ArrayCode, seed: int) -> CodewordArr:
         tuple(flat[i * code.ell : (i + 1) * code.ell]) for i in range(code.n)
     )
     cw = CodewordArr(blocks)
-    if any(code.parity_matrix().mul_vec(cw.flat())):
+    if any(parity.mul_vec(cw.flat())):
         raise AssertionError("sampled word violates the parity equation")
     return cw
 

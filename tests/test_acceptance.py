@@ -67,12 +67,16 @@ def test_criterion_01_counting_bound_values():
 
 def test_criterion_02_two_parity_attainment():
     t0 = time.perf_counter()
-    cases = [(3, n, 130) for n in (8, 9, 10)] + [(4, n, 357) for n in range(10, 18)]
+    cases = (
+        [(3, 2, n, 130) for n in (8, 9, 10)]
+        + [(4, 2, n, 357) for n in range(10, 18)]
+        + [(3, 3, n, 33880) for n in (26, 27, 28)]
+    )
     failures = []
-    for q, n, cand in cases:
-        code, _, _ = build_two_parity_code(q, 2, n)
-        rep = repair_report(code, budget=1000)
-        target = 2 * (n - 1) - (q + 1)
+    for q, ell, n, cand in cases:
+        code, _, _ = build_two_parity_code(q, ell, n)
+        rep = repair_report(code)
+        target = ell * (n - 1) - (q**ell - 1) // (q - 1)
         exact = (
             rep.exhaustive
             and rep.candidates_total == cand
@@ -80,11 +84,11 @@ def test_criterion_02_two_parity_attainment():
             and rep.gamma_avg == rep.gamma_max == target
         )
         if not exact:
-            failures.append((q, n))
+            failures.append((q, ell, n))
     _verdict(
         2,
         not failures,
-        f"{len(cases)} codes, all four metrics equal 2(n-1)-(q+1)"
+        f"{len(cases)} codes, all four metrics equal ell(n-1)-(q^ell-1)/(q-1)"
         + (f"; failed at {failures}" if failures else ""),
         time.perf_counter() - t0,
         budget=60,
@@ -136,20 +140,27 @@ def test_criterion_03_exceptional_codes():
     )
 
 
+def _bound_range(res):
+    lo, hi = res.bound_range
+    return f"bound {lo}..{hi}" + (", vacuous" if res.vacuous else "")
+
+
 def test_criterion_04_bound_on_random_codes():
     t0 = time.perf_counter()
     combos = ((2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 3, 2))
     total = 0
     violations = []
+    ranges = []
     for q, ell, r in combos:
         res = verify_bound_sweep(q, ell, r, trials=50, seed=101)
         total += res.codes_tested
         violations.extend(res.violations)
+        ranges.append(f"(q,ell,r)=({q},{ell},{r}) {_bound_range(res)}")
     ok = total >= 200 and not violations
     _verdict(
         4,
         ok,
-        f"{total} random MDS codes, {len(violations)} bound violations",
+        f"{total} random MDS codes, {len(violations)} bound violations; " + "; ".join(ranges),
         time.perf_counter() - t0,
         budget=300,
     )
@@ -164,7 +175,7 @@ def test_criterion_05_strictness_for_three_parities():
         5,
         ok,
         f"{res.codes_tested} codes with r=3, ell=2, q=2: "
-        f"{len(res.equality_cases)} equality cases, min slack {slack}",
+        f"{len(res.equality_cases)} equality cases, min slack {slack}, {_bound_range(res)}",
         time.perf_counter() - t0,
         budget=120,
     )

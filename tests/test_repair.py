@@ -20,6 +20,7 @@ from mdsrepair.linalg import (
     rank,
 )
 from mdsrepair.repair import (
+    RepairWitness,
     _rank_profile,
     _scan,
     counting_bound,
@@ -251,6 +252,57 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
         assert _scan(code, nodes, budget) == _reference_scan(code, nodes, budget)
 
 
+def _witness_mix():
+    """Two-parity, catalog and seeded random codes at r = 2, 3 and 4."""
+    rng = random.Random(36)
+    codes = [
+        build_two_parity_code(q, ell, n)[0]
+        for q, ell, ns in ((3, 3, (26, 27, 28)), (3, 2, (6, 8, 10)), (4, 2, (16, 17)))
+        for n in ns
+    ]
+    codes += [build_exceptional(case)[0] for case in ("q3n6", "q3n7", "q4n9")]
+    for q, ell, r, n in ((3, 2, 2, 6), (2, 3, 2, 5), (2, 2, 3, 5), (2, 2, 3, 6), (2, 2, 4, 5)):
+        codes.append(random_mds_code(field_of_order(q), r, ell, n, rng))
+    return codes
+
+
+def test_report_witnesses_match_standalone_witnesses():
+    # the report profiles each distinct W once and shares it across nodes;
+    # every witness still equals the one make_witness builds on its own
+    checked = set()
+    for code in _witness_mix():
+        for budget in (10**7, 50, 7):
+            try:
+                rep = repair_report(code, budget=budget)
+            except BudgetExceededError:
+                continue
+            checked.add(rep.exhaustive)
+            for nd in rep.nodes:
+                for got in (nd.alpha_witness, nd.lambda_witness):
+                    want = make_witness(code, nd.node, got.space)
+                    for f in dataclasses.fields(RepairWitness):
+                        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert checked == {True, False}
+
+
+def test_rank_oracle_runs_once_per_distinct_repair_subspace(monkeypatch):
+    calls = []
+
+    def counting(code, w):
+        calls.append(w)
+        return _rank_profile(code, w)
+
+    monkeypatch.setattr(repair, "_rank_profile", counting)
+    code, planted, _ = build_two_parity_code(3, 3, 26)
+    assert len(calls) == len({wit.space for wit in planted}) == 2
+    for _ in range(2):  # a second report on the same code runs the oracle again
+        calls.clear()
+        rep = repair_report(code)
+        spaces = [w.space for nd in rep.nodes for w in (nd.alpha_witness, nd.lambda_witness)]
+        assert sorted(calls) == sorted(set(spaces))
+        assert len(calls) < len(spaces) == 2 * code.n
+
+
 def _collinear_columns_code(nodes):
     """An ell = 3 code whose given nodes each have three collinear column points."""
     code = random_mds_code(field_of_order(2), 2, 3, 4, random.Random(7))
@@ -362,6 +414,21 @@ def test_verify_bound_sweep_small():
     assert res.sampling_failures == 0
     assert res.nodes_checked == sum(3 + (i % 3) for i in range(4))
     assert res.min_slack is not None and res.min_slack >= 0
+
+
+def test_sweep_records_the_bound_range_and_vacuity():
+    res = verify_bound_sweep(2, 2, 3, trials=6, seed=3)
+    # r = 3, ell = 2, q = 2: bound 2(n-1) - 15 over n = 4..6
+    assert res.bound_range == (-9, -5)
+    assert res.vacuous
+    res = verify_bound_sweep(2, 2, 2, trials=3, seed=0)
+    # r = 2, ell = 2, q = 2: bound 2(n-1) - 3 over n = 3..5
+    assert res.bound_range == (1, 5)
+    assert not res.vacuous
+    mixed = verify_bound_sweep(3, 2, 2, trials=2, seed=0, n_values=[3, 4])
+    assert mixed.bound_range == (0, 2) and not mixed.vacuous
+    assert dataclasses.replace(mixed, bound_range=(-3, 0)).vacuous
+    assert dataclasses.replace(mixed, bound_range=None).vacuous  # no code tested
 
 
 def test_verify_strictness_sweep_small():
