@@ -19,10 +19,13 @@ from typing import Union
 
 from .gf import ExtensionCtx, FieldCtx, field_of_order, make_extension
 from .linalg import (
+    _CACHE_LIMIT,
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     Subspace,
-    candidate_spaces,
+    all_subspaces,
+    enumerate_subspaces,
+    gaussian_binomial,
     intersect_dim,
     projective_points,
     subspace_intersection,
@@ -220,11 +223,16 @@ def hit_set_counts(spread: Spread) -> Counter[frozenset[int]]:
     if spread.ell != 2:
         raise ValueError("hit sets are defined here for spreads of PG(3, q) only")
     q = spread.field.q
-    lines, total = candidate_spaces(spread.field, 4, 2, DEFAULT_ENUM_BUDGET)
+    total = gaussian_binomial(4, 2, q)
     if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
             f"{total} lines exceed the budget of {DEFAULT_ENUM_BUDGET}"
         )
+    # the cached lines keep their point masks for the next pass
+    if total <= _CACHE_LIMIT:
+        lines = all_subspaces(spread.field, 4, 2)
+    else:
+        lines = enumerate_subspaces(spread.field, 4, 2, budget=None)
     member_set = set(spread.members)
     counts: Counter[frozenset[int]] = Counter()
     for w in lines:

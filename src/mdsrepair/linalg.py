@@ -6,6 +6,7 @@ form, which makes equality, hashing and enumeration order canonical.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
@@ -389,30 +390,72 @@ def enumerate_subspaces(
         raise BudgetExceededError(
             f"{total} subspaces exceed the budget of {budget}"
         )
-    if dim == 0:
-        yield Subspace.zero(field, ambient_dim)
-        return
     q = field.q
     d = ambient_dim
-    for pivots in itertools.combinations(range(d), dim):
-        pivot_set = set(pivots)
-        base = [0] * (dim * d)
-        for i, p in enumerate(pivots):
-            base[i * d + p] = 1
-        free = [
-            (i, j)
-            for i in range(dim)
-            for j in range(pivots[i] + 1, d)
-            if j not in pivot_set
-        ]
-        if not free:
-            yield Subspace(field, d, dim, tuple(base), pivots)
-            continue
+    for pivots, base, free in _pivot_sets(q, d, dim)[1]:
         for values in itertools.product(range(q), repeat=len(free)):
             entries = list(base)
             for (i, j), val in zip(free, values):
                 entries[i * d + j] = val
             yield Subspace(field, d, dim, tuple(entries), pivots)
+
+
+_PivotSet = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+
+
+@functools.lru_cache(maxsize=64)
+def _pivot_sets(q: int, d: int, dim: int) -> tuple[tuple[int, ...], tuple[_PivotSet, ...]]:
+    """The pivot sets of the dim dimensional subspaces of F_q^d, in enumeration order.
+
+    Returns the position of each set's first subspace, and per set its
+    pivots, its reduced basis with every free entry 0, and its free cells
+    (row, column), row by row and left to right: the odometer order of
+    enumerate_subspaces, whose last cell turns fastest.  A set holds
+    q^(free cells) subspaces.
+    """
+    starts = []
+    sets = []
+    pos = 0
+    for pivots in itertools.combinations(range(d), dim):
+        pivot_set = set(pivots)
+        base = [0] * (dim * d)
+        for i, p in enumerate(pivots):
+            base[i * d + p] = 1
+        free = tuple(
+            (i, j)
+            for i in range(dim)
+            for j in range(pivots[i] + 1, d)
+            if j not in pivot_set
+        )
+        starts.append(pos)
+        sets.append((pivots, tuple(base), free))
+        pos += q ** len(free)
+    return tuple(starts), tuple(sets)
+
+
+def subspace_at(field: FieldCtx, ambient_dim: int, dim: int, index: int) -> Subspace:
+    """The subspace at position index of enumerate_subspaces(field, ambient_dim, dim).
+
+    Finds the pivot set holding index, then writes the offset inside it
+    into the free cells as base q odometer digits, the last cell least
+    significant.
+    """
+    _require_tables(field)
+    if not 0 <= dim <= ambient_dim:
+        raise ValueError("dim out of range")
+    total = gaussian_binomial(ambient_dim, dim, field.q)
+    if not 0 <= index < total:
+        raise IndexError(f"subspace {index} out of range for {total} subspaces")
+    q = field.q
+    d = ambient_dim
+    starts, sets = _pivot_sets(q, d, dim)
+    k = bisect.bisect_right(starts, index) - 1
+    pivots, base, free = sets[k]
+    index -= starts[k]
+    entries = list(base)
+    for i, j in reversed(free):
+        index, entries[i * d + j] = divmod(index, q)
+    return Subspace(field, d, dim, tuple(entries), pivots)
 
 
 @functools.lru_cache(maxsize=64)
@@ -426,22 +469,26 @@ def all_subspaces(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[Subspace
     return tuple(enumerate_subspaces(field, ambient_dim, dim, budget=None))
 
 
-def point_incidence(spaces: Sequence[Subspace], npoints: int) -> list[int]:
-    """The transpose of the spaces' point masks: one bitset per point bit.
+def point_incidence(spaces: Iterable[Subspace], npoints: int, count: int) -> list[int]:
+    """The transpose of the point masks of count spaces: one bitset per point bit.
 
-    Bit c of entry b is bit b of spaces[c].point_mask; npoints bounds the
-    point bits.  Steps of _INCIDENCE_STEP spaces are written out as a
-    '0'/'1' matrix, last space first, whose columns a strided slice reads
-    as base 2 numerals into preallocated byte rows.  Each row then becomes
-    an int and is dropped, one point at a time, so the bytes and the ints
-    are never all held at once.
+    Bit c of entry b is bit b of the point_mask of the c-th space read;
+    npoints bounds the point bits.  spaces may be a stream: steps of
+    _INCIDENCE_STEP spaces are read from it and written out as a '0'/'1'
+    matrix, last space first, whose columns a strided slice reads as
+    base 2 numerals into preallocated byte rows, so no space outlives its
+    step.  Each row then becomes an int and is dropped, one point at a
+    time, so the bytes and the ints are never all held at once.
     """
     width = f"0{npoints}b"
-    nbytes = (len(spaces) + 7) >> 3
-    rows = [bytearray(nbytes) for _ in range(npoints)]
-    for start in range(0, len(spaces), _INCIDENCE_STEP):
-        step = [format(w.point_mask, width) for w in spaces[start : start + _INCIDENCE_STEP]]
-        step += ["0" * npoints] * (-len(step) % 8)
+    rows = [bytearray((count + 7) >> 3) for _ in range(npoints)]
+    stream = iter(spaces)
+    for start in range(0, count, _INCIDENCE_STEP):
+        want = min(_INCIDENCE_STEP, count - start)
+        step = [format(w.point_mask, width) for w in itertools.islice(stream, want)]
+        if len(step) < want:
+            raise ValueError(f"{start + len(step)} spaces given, {count} expected")
+        step += ["0" * npoints] * (-want % 8)
         step.reverse()
         mat = "".join(step)
         del step
@@ -454,24 +501,20 @@ def point_incidence(spaces: Sequence[Subspace], npoints: int) -> list[int]:
 
 @functools.lru_cache(maxsize=64)
 def subspace_incidence(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[int, ...]:
-    """point_incidence of all_subspaces(field, ambient_dim, dim), cached beside it."""
-    npoints = projective_point_count(ambient_dim, field.q)
-    return tuple(point_incidence(all_subspaces(field, ambient_dim, dim), npoints))
+    """point_incidence of every dim dimensional subspace, in enumeration order.
 
-
-def candidate_spaces(
-    field: FieldCtx, ambient_dim: int, dim: int, budget: int
-) -> tuple[Iterable[Subspace], int]:
-    """Every dim dimensional subspace, in enumeration order, and their count.
-
-    The cached tuple of all_subspaces when the count fits both the budget
-    and the cache, so repeated passes reuse the subspaces and their point
-    masks; otherwise a fresh stream, which the caller cuts or refuses.
+    Built from the enumeration stream, so the cache holds the bitsets
+    alone; subspace_at rebuilds any subspace from its position.  Refused
+    above _CACHE_LIMIT subspaces, where the scan streams its own blocks.
     """
     total = gaussian_binomial(ambient_dim, dim, field.q)
-    if total <= min(budget, _CACHE_LIMIT):
-        return all_subspaces(field, ambient_dim, dim), total
-    return enumerate_subspaces(field, ambient_dim, dim, budget=None), total
+    if total > _CACHE_LIMIT:
+        raise BudgetExceededError(
+            f"{total} subspaces exceed the cache limit of {_CACHE_LIMIT}"
+        )
+    npoints = projective_point_count(ambient_dim, field.q)
+    stream = enumerate_subspaces(field, ambient_dim, dim, budget=None)
+    return tuple(point_incidence(stream, npoints, total))
 
 
 def projective_point_count(dim: int, q: int) -> int:

@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
+from . import linalg
 from .code import ArrayCode, code_from_intrinsic, is_mds
 from .gf import FieldCtx
 from .linalg import (
@@ -25,13 +26,14 @@ from .linalg import (
     MatrixGF,
     Subspace,
     all_subspaces,
-    candidate_spaces,
+    enumerate_subspaces,
     gaussian_binomial,
     intersect_dim,
     kernel,
     point_incidence,
     points_mask,
     projective_point_count,
+    subspace_at,
     subspace_incidence,
     subspace_sum,
 )
@@ -152,7 +154,9 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
     return dims, zs
 
 
-_Profile = tuple[list[int], list[int], MatrixGF]  # dims, zs and the repair matrix of one W
+# per W: the (j, dim(W meet H_j)) and (j, z_j) pairs over all n nodes, the
+# bandwidth and I/O totals over all n, and the repair matrix
+_Profile = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int, int, MatrixGF]
 
 
 def _witness(
@@ -161,27 +165,35 @@ def _witness(
     """make_witness, with w's profile taken from profiles or added to it.
 
     The profile and the repair matrix depend on the code and w alone, so
-    the nodes sharing a repair subspace share one run of the rank oracle.
+    the nodes sharing a repair subspace share one run of the rank oracle
+    and one assembly of its pairs and totals; each node slices itself out.
     profiles must hold entries of this code only.
     """
     if w.ambient_dim != code.ambient_dim or w.field != code.field:
         raise ValueError("repair subspace does not match the code")
     if w.dim != (code.r - 1) * code.ell:
         raise ValueError("repair subspace must have dimension (r-1)*ell")
+    ell = code.ell
     if w not in profiles:
-        profiles[w] = (*_rank_profile(code, w), _annihilator(w))
-    dims, zs, matrix = profiles[w]
-    if dims[node] != 0:
+        dims, zs = _rank_profile(code, w)
+        profiles[w] = (
+            tuple(enumerate(dims)),
+            tuple(enumerate(zs)),
+            sum(ell - x for x in dims),
+            sum(ell - z for z in zs),
+            _annihilator(w),
+        )
+    dim_pairs, z_pairs, bw_all, io_all, matrix = profiles[w]
+    if dim_pairs[node][1] != 0:
         raise ValueError("repair subspace meets the failed node's subspace")
-    helpers = [j for j in range(code.n) if j != node]
     return RepairWitness(
         node=node,
         space=w,
         matrix=matrix,
-        helper_dims=tuple((j, dims[j]) for j in helpers),
-        helper_points=tuple((j, zs[j]) for j in helpers),
-        bw=sum(code.ell - dims[j] for j in helpers),
-        io=sum(code.ell - zs[j] for j in helpers),
+        helper_dims=dim_pairs[:node] + dim_pairs[node + 1 :],
+        helper_points=z_pairs[:node] + z_pairs[node + 1 :],
+        bw=bw_all - ell,
+        io=io_all - (ell - z_pairs[node][1]),
     )
 
 
@@ -240,11 +252,24 @@ def _max_first(planes: list[int], live: int) -> tuple[int, int]:
 
 
 def _blocks(
-    stream: Iterator[Subspace], npoints: int
-) -> Iterator[tuple[tuple[Subspace, ...], list[int]]]:
-    """A candidate stream cut into blocks of _CHUNK, each with its point incidence."""
-    while block := tuple(islice(stream, _CHUNK)):
-        yield block, point_incidence(block, npoints)
+    field: FieldCtx, d: int, wdim: int, total: int, budget: int
+) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """The point incidence of the first min(budget, total) candidates, block by block.
+
+    Yields (offset, length, incidence) per block.  The cached incidence is
+    one block when the count fits both the budget and the cache; otherwise
+    the candidate stream is cut into blocks of _CHUNK, each transposed as
+    it is read.
+    """
+    if total <= min(budget, linalg._CACHE_LIMIT):
+        yield 0, total, subspace_incidence(field, d, wdim)
+        return
+    npoints = projective_point_count(d, field.q)
+    stream = enumerate_subspaces(field, d, wdim, budget=None)
+    end = min(budget, total)
+    for start in range(0, end, _CHUNK):
+        length = min(_CHUNK, end - start)
+        yield start, length, point_incidence(stream, npoints, length)
 
 
 def _scan(
@@ -255,22 +280,21 @@ def _scan(
     """Per node maxima of both objectives over the first min(budget, total) candidates.
 
     Works on bitsets over candidate positions, built from the point
-    incidence: the cached candidate tuple is one block, a stream is cut
-    into blocks of _CHUNK.  Per node j, the rows of H_j's points add up to
-    a bit-sliced count of the points of W meet H_j, which is
-    (q^t - 1)/(q - 1) for t = dim(W meet H_j).  That number lies in
+    incidence block by block (_blocks).  Per node j, the rows of H_j's
+    points add up to a bit-sliced count of the points of W meet H_j, which
+    is (q^t - 1)/(q - 1) for t = dim(W meet H_j).  That number lies in
     [2^k, 2^(k+1)), k its bit length minus 1, and every smaller such count
     lies below 2^k; so dim >= t exactly where a plane k or higher is set.
     Summing those bitsets over (j, t) gives the total intersection
     dimension, and summing the column point rows the total captured points.
     On the candidates missing H_i both totals are node i's objectives.  The
     first maximizer in enumeration order is the lowest position, and blocks
-    merge with a strict >, so an earlier block keeps a tie.
+    merge with a strict >, so an earlier block keeps a tie.  Maximizers are
+    kept as positions; only the distinct winners are rebuilt, by subspace_at.
     """
     f = code.field
     d = code.ambient_dim
     wdim = (code.r - 1) * code.ell
-    npoints = projective_point_count(d, f.q)
     tops = [projective_point_count(t, f.q).bit_length() - 1 for t in range(1, code.ell + 1)]
     col_masks = [
         points_mask(f, d, (p.representative for p in plist)) for plist in code.column_points
@@ -279,18 +303,12 @@ def _scan(
         raise ValueError("column point outside its node subspace")
     node_bits = [list(_bits(h.point_mask)) for h in code.node_subspaces]
     col_bits = [list(_bits(cm)) for cm in col_masks]
-    cands, total = candidate_spaces(f, d, wdim, budget)
-    if isinstance(cands, tuple):
-        blocks: Iterable[tuple[Sequence[Subspace], Sequence[int]]] = [
-            (cands, subspace_incidence(f, d, wdim))
-        ]
-    else:
-        blocks = _blocks(islice(cands, budget), npoints)
-    best_dim: dict[int, tuple[int, Subspace]] = {}
-    best_pts: dict[int, tuple[int, Subspace]] = {}
+    total = gaussian_binomial(d, wdim, f.q)
+    best_dim: dict[int, tuple[int, int]] = {}  # node -> (value, candidate position)
+    best_pts: dict[int, tuple[int, int]] = {}
     anomalies: list[str] = []
     scanned = 0
-    for block, inc in blocks:
+    for start, length, inc in _blocks(f, d, wdim, total, budget):
         dim_total: list[int] = []
         pts_total: list[int] = []
         meets = []  # per node, the candidates meeting H_j
@@ -318,8 +336,8 @@ def _scan(
                 bad |= z & ~at_least[s] if s < len(at_least) else z
             excess.append(bad)
         if any(excess):
-            anomalies.extend(_anomaly_messages(code, block, excess, col_masks))
-        live = (1 << len(block)) - 1
+            anomalies.extend(_anomaly_messages(code, start, excess, col_masks))
+        live = (1 << length) - 1
         for i in nodes:
             miss = live & ~meets[i]
             if not miss:
@@ -327,26 +345,40 @@ def _scan(
             for best, planes in ((best_dim, dim_total), (best_pts, pts_total)):
                 value, pos = _max_first(planes, miss)
                 if i not in best or value > best[i][0]:
-                    best[i] = (value, block[pos])
-        scanned += len(block)
-    return best_dim, best_pts, total, scanned, anomalies
+                    best[i] = (value, start + pos)
+        scanned += length
+    winners = {pos for best in (best_dim, best_pts) for _, pos in best.values()}
+    spaces = {pos: subspace_at(f, d, wdim, pos) for pos in winners}
+    return (
+        {i: (value, spaces[pos]) for i, (value, pos) in best_dim.items()},
+        {i: (value, spaces[pos]) for i, (value, pos) in best_pts.items()},
+        total,
+        scanned,
+        anomalies,
+    )
 
 
 def _anomaly_messages(
-    code: ArrayCode, block: Sequence[Subspace], excess: list[int], col_masks: list[int]
+    code: ArrayCode, start: int, excess: list[int], col_masks: list[int]
 ) -> list[str]:
-    """One message per flagged (candidate, node), candidate-major, with z, dim and W."""
+    """One message per flagged (candidate, node), candidate-major, with z, dim and W.
+
+    Bit c of excess[j] flags the candidate at position start + c, which is
+    rebuilt by subspace_at.
+    """
     dim_of = {projective_point_count(t, code.field.q): t for t in range(code.ell + 1)}
+    wdim = (code.r - 1) * code.ell
     msgs = []
     for pos in _bits(reduce(int.__or__, excess)):
-        wm = block[pos].point_mask
+        w = subspace_at(code.field, code.ambient_dim, wdim, start + pos)
+        wm = w.point_mask
         for j, bad in enumerate(excess):
             if bad >> pos & 1:
                 z = (wm & col_masks[j]).bit_count()
                 dim = dim_of[(wm & code.node_subspaces[j].point_mask).bit_count()]
                 msg = (
                     f"captured points exceed intersection dimension at node {j}: "
-                    f"z={z} dim={dim} W={block[pos].entries}"
+                    f"z={z} dim={dim} W={w.entries}"
                 )
                 log.warning(msg)
                 msgs.append(msg)

@@ -20,6 +20,7 @@ from mdsrepair.linalg import (
     projective_points,
     rank,
     rref,
+    subspace_at,
     subspace_intersection,
     subspace_sum,
 )
@@ -233,6 +234,7 @@ def test_row_reduction_kernels_fixed_answers():
 
 @pytest.mark.parametrize("step", [8, 512])
 def test_point_incidence_is_the_transpose_of_point_masks(step, monkeypatch):
+    # from a tuple or from a stream with its count, which is read no further
     monkeypatch.setattr(linalg, "_INCIDENCE_STEP", step)
     f = field_of_order(3)
     npoints = projective_point_count(4, 3)
@@ -242,4 +244,28 @@ def test_point_incidence_is_the_transpose_of_point_masks(step, monkeypatch):
         want = [
             sum(1 << c for c, m in enumerate(masks) if m >> b & 1) for b in range(npoints)
         ]
-        assert point_incidence(spaces[:length], npoints) == want
+        assert point_incidence(spaces[:length], npoints, length) == want
+        stream = enumerate_subspaces(f, 4, 2, budget=None)
+        assert point_incidence(stream, npoints, length) == want
+        assert next(stream, None) == (spaces[length] if length < len(spaces) else None)
+    with pytest.raises(ValueError, match="9 spaces given, 10 expected"):
+        point_incidence(iter(spaces[:9]), npoints, 10)
+
+
+@pytest.mark.parametrize(
+    "q, d, k",
+    [(2, 4, 2), (3, 4, 2), (4, 4, 2), (2, 6, 2), (2, 6, 3), (2, 6, 4),
+     (3, 5, 2), (3, 6, 3), (2, 3, 0), (2, 3, 3)],
+)
+def test_subspace_at_inverts_the_enumeration(q, d, k):
+    f = field_of_order(q)
+    total = gaussian_binomial(d, k, q)
+    count = 0
+    for i, want in enumerate(enumerate_subspaces(f, d, k, budget=None)):
+        got = subspace_at(f, d, k, i)
+        assert (got.dim, got.entries, got.pivots) == (want.dim, want.entries, want.pivots)
+        count += 1
+    assert count == total
+    for i in (-1, total):
+        with pytest.raises(IndexError):
+            subspace_at(f, d, k, i)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import logging
 import random
 
@@ -11,6 +12,7 @@ from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import (
     BudgetExceededError,
+    Subspace,
     all_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
@@ -250,6 +252,30 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
     assert repair_report(code) == cached
     for budget in (10**7, 30):
         assert _scan(code, nodes, budget) == _reference_scan(code, nodes, budget)
+
+
+def _live_subspaces():
+    gc.collect()
+    return sum(isinstance(obj, Subspace) for obj in gc.get_objects())
+
+
+def test_cold_scan_keeps_no_candidate_subspaces(monkeypatch):
+    # a cold report builds the point incidence from the enumeration stream
+    # and rebuilds only its winners: it never reads all_subspaces, and the
+    # 2,850 candidate lines of PG(3, 7) do not outlive it
+    code = _spread_code(7, 8)
+    linalg.subspace_incidence.cache_clear()
+    before = _live_subspaces()
+    want = repair_report(code)
+    assert _live_subspaces() - before < 1000
+
+    def refuse(*args):
+        raise AssertionError("the scan read all_subspaces")
+
+    linalg.subspace_incidence.cache_clear()
+    monkeypatch.setattr(linalg, "all_subspaces", refuse)
+    monkeypatch.setattr(repair, "all_subspaces", refuse)
+    assert repair_report(code) == want
 
 
 def _witness_mix():
