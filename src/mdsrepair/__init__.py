@@ -48,7 +48,6 @@ from .gf import ExtensionCtx, FieldCtx, field_of_order, make_extension, make_fie
 from .linalg import (
     BudgetExceededError,
     MatrixGF,
-    ProjPoint,
     Subspace,
     all_subspaces,
     enumerate_subspaces,

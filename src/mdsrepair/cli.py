@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .code import DEFAULT_MDS_CAP, ArrayCode, deserialize, is_mds, serialize
+from .code import MDS_CAP, ArrayCode, deserialize, is_mds, serialize
 from .constructions import (
     build_exceptional,
     build_two_parity_code,
@@ -26,7 +26,7 @@ from .constructions import (
     regular_spread_converse_check,
 )
 from .geometry import INF, desarguesian_spread, is_regular_spread, is_spread, regulus_through
-from .gf import prime_power
+from .gf import field_of_order, make_extension, prime_power
 from .linalg import DEFAULT_ENUM_BUDGET, BudgetExceededError
 from .repair import (
     RepairReport,
@@ -262,6 +262,10 @@ def _build_parser() -> _Parser:
 
 def _cmd_bound(a: argparse.Namespace) -> int:
     prime_power(a.q)  # raises ValueError unless q is a prime power within the field cap
+    # |bound| <= max(ell*(n-1), q^((r-1)*ell)): both are sized before the power is taken
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if (a.r - 1) * a.ell >= limit / math.log10(a.q) or abs(a.ell * a.n) >= 10**limit:
+        raise SystemExit(f"the bound would pass the {limit} digit limit on printed integers")
     print(counting_bound(a.n, a.r, a.ell, a.q))
     return 0
 
@@ -281,7 +285,7 @@ def _cmd_verify(a: argparse.Namespace) -> int:
     if check.ok is None:
         raise SystemExit(
             f"{code.n} choose {code.r} = {math.comb(code.n, code.r)} block subsets "
-            f"exceed the MDS check's cap of {DEFAULT_MDS_CAP}"
+            f"exceed the MDS check's cap of {MDS_CAP}"
         )
     if check.ok:
         print(f"mds {_verdict(True)}: all {code.n} choose {code.r} block subsets invertible")
@@ -299,6 +303,11 @@ def _cmd_repair(a: argparse.Namespace) -> int:
 
 def _cmd_geometry(a: argparse.Namespace) -> int:
     if a.action == "spread-check":
+        pairs = math.comb(make_extension(field_of_order(a.q), a.ell).top.q + 1, 2)
+        if pairs > DEFAULT_ENUM_BUDGET:
+            raise BudgetExceededError(
+                f"{pairs} member pairs exceed the budget of {DEFAULT_ENUM_BUDGET}"
+            )
         spread = desarguesian_spread(a.q, a.ell)
         check = is_spread(spread.field, spread.ell, spread.members)
         print(
@@ -342,7 +351,7 @@ def _cmd_check(a: argparse.Namespace) -> int:
         return 0
     if a.action == "strictness":
         result = verify_strictness_sweep(a.q, a.ell, a.r, trials=a.trials, seed=a.seed)
-        good = result.ok and not result.equality_cases
+        good = result.ok  # an equality case fails the report, so it is a violation
         print(
             f"{result.codes_tested} codes over GF({a.q}) with r = {a.r}: min slack "
             f"{result.min_slack}, {len(result.equality_cases)} equality cases, "

@@ -3,8 +3,8 @@
 A code with n nodes, r = n - k parities and sub packetization ell is held
 as n blocks H_i in F_q^(r*ell x ell), all of full column rank.  Each block
 is equivalently a node subspace (its column space) plus a list of ell
-projective column points; a block's columns are always representatives of
-its column points, in matching order.
+projective column points, each the normalised tuple of linalg.proj_point;
+a block's columns are exactly its column points, in matching order.
 """
 from __future__ import annotations
 
@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gf import FieldCtx, make_field
-from .linalg import (
-    MatrixGF,
-    ProjPoint,
-    Subspace,
-    kernel,
-    proj_point,
-    rank,
-)
+from .linalg import MatrixGF, Subspace, kernel, proj_point, rank
 
-DEFAULT_MDS_CAP = 10**6
+MDS_CAP = 10**6  # most r-subsets of blocks is_mds checks
 
 
 @dataclass(frozen=True)
@@ -34,7 +27,7 @@ class ArrayCode:
     ell: int
     blocks: tuple[MatrixGF, ...]
     node_subspaces: tuple[Subspace, ...]
-    column_points: tuple[tuple[ProjPoint, ...], ...]
+    column_points: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def r(self) -> int:
@@ -72,22 +65,24 @@ def _span_check(field: FieldCtx, subspaces: Sequence[Subspace], ambient: int) ->
         raise ValueError("node subspaces do not span the parity space")
 
 
-def _points_to_block(field: FieldCtx, ambient: int, points: Sequence[ProjPoint]) -> MatrixGF:
-    cols = [p.representative for p in points]
-    entries = tuple(cols[j][i] for i in range(ambient) for j in range(len(cols)))
-    return MatrixGF(field, ambient, len(cols), entries)
+def _points_to_block(
+    field: FieldCtx, ambient: int, points: Sequence[tuple[int, ...]]
+) -> MatrixGF:
+    entries = tuple(p[i] for i in range(ambient) for p in points)
+    return MatrixGF(field, ambient, len(points), entries)
 
 
 def code_from_intrinsic(
     subspaces: Sequence[Subspace],
     *,
-    column_points: Sequence[Sequence[ProjPoint]] | None = None,
+    column_points: Sequence[Sequence[Sequence[int]]] | None = None,
 ) -> ArrayCode:
     """Build a code from node subspaces and optional column point choices.
 
     Without explicit points, each block's columns are the reduced basis
     vectors of its subspace, ordered lexicographically.  Explicit points
-    must be ell distinct independent points inside the node subspace.
+    are normalised by proj_point and must be ell distinct independent
+    points inside the node subspace.
     """
     if not subspaces:
         raise ValueError("need at least one node subspace")
@@ -109,24 +104,24 @@ def code_from_intrinsic(
             raise ValueError("node subspaces must share field, ambient and dimension")
     _span_check(field, subspaces, ambient)
 
-    points: list[tuple[ProjPoint, ...]] = []
+    points: list[tuple[tuple[int, ...], ...]] = []
     if column_points is None:
         for s in subspaces:
-            pts = sorted(proj_point(field, row) for row in s.basis_rows())
-            points.append(tuple(pts))
+            points.append(tuple(sorted(s.basis_rows())))  # reduced rows are normalised
     else:
         if len(column_points) != n:
             raise ValueError("need one point list per node")
-        for s, plist in zip(subspaces, column_points):
+        for s, given in zip(subspaces, column_points):
+            plist = tuple(proj_point(field, p) for p in given)
             if len(plist) != ell or len(set(plist)) != ell:
                 raise ValueError("need ell distinct column points per node")
             for p in plist:
-                if not s.contains_vector(p.representative):
+                if not s.contains_vector(p):
                     raise ValueError("column point outside its node subspace")
             block = _points_to_block(field, ambient, plist)
             if rank(block) != ell:
                 raise ValueError("column points must be independent")
-            points.append(tuple(plist))
+            points.append(plist)
 
     blocks = tuple(_points_to_block(field, ambient, plist) for plist in points)
     return ArrayCode(field, n, n - r, ell, blocks, tuple(subspaces), tuple(points))
@@ -183,17 +178,18 @@ class MdsCheck:
         return self.status == "mds"
 
 
-def is_mds(code: ArrayCode, *, subset_cap: int = DEFAULT_MDS_CAP) -> MdsCheck:
+def is_mds(code: ArrayCode) -> MdsCheck:
     """Check that every r-subset of blocks forms an invertible square matrix.
 
     Runs both the matrix rank form and the subspace direct sum form on each
-    subset and insists they agree.
+    subset and insists they agree.  More than MDS_CAP subsets are not
+    checked: the status is then "cap_exceeded".
     """
     r = code.r
     total = 1
     for i in range(r):
         total = total * (code.n - i) // (i + 1)
-    if total > subset_cap:
+    if total > MDS_CAP:
         return MdsCheck("cap_exceeded", 0)
     ambient = code.ambient_dim
     checked = 0
@@ -242,7 +238,7 @@ def serialize(code: ArrayCode) -> str:
         "ell": code.ell,
         "blocks": [b.to_rows() for b in code.blocks],
         "column_points": [
-            [list(p.representative) for p in plist] for plist in code.column_points
+            [list(p) for p in plist] for plist in code.column_points
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -38,7 +38,6 @@ from .geometry import (
     hit_set_counts,
 )
 from .linalg import (
-    ProjPoint,
     Subspace,
     proj_point,
     projective_point_count,
@@ -98,7 +97,9 @@ class TwoParityPlan:
     assigned_b: tuple[int, ...]
 
 
-def _fill_columns(member: Subspace, forced: Sequence[ProjPoint]) -> tuple[ProjPoint, ...]:
+def _fill_columns(
+    member: Subspace, forced: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
     """Extend forced points to ell independent columns, smallest points first."""
     field = member.field
     chosen = list(forced)
@@ -107,7 +108,7 @@ def _fill_columns(member: Subspace, forced: Sequence[ProjPoint]) -> tuple[ProjPo
             break
         if p in chosen:
             continue
-        stack = [c.representative for c in chosen] + [p.representative]
+        stack = chosen + [p]
         if Subspace.from_rows(field, member.ambient_dim, stack).dim == len(stack):
             chosen.append(p)
     if len(chosen) != member.dim:
@@ -126,7 +127,7 @@ def _planted_code(
     through the first probe that misses it.
     """
     repairs: list[Subspace] = []
-    columns: list[tuple[ProjPoint, ...]] = []
+    columns: list[tuple[tuple[int, ...], ...]] = []
     for i, member in enumerate(subspaces):
         hits = [w for w in probes if w.point_mask & member.point_mask]
         misses = [w for w in probes if not w.point_mask & member.point_mask]
@@ -193,7 +194,7 @@ def build_two_parity_code(
     if len(omega) < n:
         omega = omega + (INF,)
 
-    spread = desarguesian_spread(q, ell, ext=ext)
+    spread = desarguesian_spread(q, ell)
     probes = (wb_subspace(ext, b1), wb_subspace(ext, b2))
     code, witnesses = _planted_code(
         [spread.member(c) for c in omega], probes, counting_bound(n, 2, ell, q)

@@ -19,11 +19,9 @@ from typing import Union
 
 from .gf import ExtensionCtx, FieldCtx, field_of_order, make_extension
 from .linalg import (
-    _CACHE_LIMIT,
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     Subspace,
-    all_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
     intersect_dim,
@@ -73,16 +71,13 @@ def desarguesian_member(ext: ExtensionCtx, label: Label) -> Subspace:
 
 
 def conjugate_member(ext: ExtensionCtx, label: Label) -> Subspace:
-    """The subspace {(s*x, x)} for label s, or {(y, 0)} for INF."""
-    top = ext.top
-    rows = []
-    for j in range(ext.ell):
-        e_j = ext.from_coords(tuple(1 if t == j else 0 for t in range(ext.ell)))
-        if label is INF:
-            rows.append(ext.embed_pair(e_j, 0))
-        else:
-            rows.append(ext.embed_pair(top.mul(label, e_j), e_j))
-    return Subspace.from_rows(ext.base, 2 * ext.ell, rows)
+    """The subspace {(s*x, x)} for label s, or {(y, 0)} for INF.
+
+    That is the field spread member of label 1/s, with 0 and INF swapped.
+    """
+    if label is INF:
+        return desarguesian_member(ext, 0)
+    return desarguesian_member(ext, INF if label == 0 else ext.top.inv(label))
 
 
 def _field_spread(ext: ExtensionCtx, member_fn) -> Spread:
@@ -91,13 +86,9 @@ def _field_spread(ext: ExtensionCtx, member_fn) -> Spread:
     return Spread(ext.base, ext.ell, members, labels)
 
 
-def desarguesian_spread(q: int, ell: int, *, ext: ExtensionCtx | None = None) -> Spread:
+def desarguesian_spread(q: int, ell: int) -> Spread:
     """The field spread {(x, c*x) : c} plus {(0, y)}, one member per label."""
-    if ext is None:
-        ext = make_extension(field_of_order(q), ell)
-    elif ext.base.q != q or ext.ell != ell:
-        raise ValueError("extension context does not match q, ell")
-    return _field_spread(ext, desarguesian_member)
+    return _field_spread(make_extension(field_of_order(q), ell), desarguesian_member)
 
 
 def conjugate_spread(ext: ExtensionCtx) -> Spread:
@@ -159,7 +150,7 @@ def _common_transversals(l1: Subspace, l2: Subspace, l3: Subspace) -> tuple[Subs
     field = l1.field
     out = []
     for pt in projective_points(l1):
-        pt_space = Subspace.from_rows(field, l1.ambient_dim, [pt.representative])
+        pt_space = Subspace.from_rows(field, l1.ambient_dim, [pt])
         plane2 = subspace_sum(pt_space, l2)
         plane3 = subspace_sum(pt_space, l3)
         t = subspace_intersection(plane2, plane3)
@@ -217,8 +208,9 @@ def hit_set_counts(spread: Spread) -> Counter[frozenset[int]]:
     The points of an outside line lie on distinct members, so it meets
     exactly q+1 of them; the lines sharing one hit set all meet three of
     its members, so they are transversals of the regulus through those
-    three, at most q+1 lines.  Raises BudgetExceededError when PG(3, q)
-    has more than DEFAULT_ENUM_BUDGET lines.
+    three, at most q+1 lines.  The lines are streamed, never cached.
+    Raises BudgetExceededError when PG(3, q) has more than
+    DEFAULT_ENUM_BUDGET lines.
     """
     if spread.ell != 2:
         raise ValueError("hit sets are defined here for spreads of PG(3, q) only")
@@ -228,14 +220,9 @@ def hit_set_counts(spread: Spread) -> Counter[frozenset[int]]:
         raise BudgetExceededError(
             f"{total} lines exceed the budget of {DEFAULT_ENUM_BUDGET}"
         )
-    # the cached lines keep their point masks for the next pass
-    if total <= _CACHE_LIMIT:
-        lines = all_subspaces(spread.field, 4, 2)
-    else:
-        lines = enumerate_subspaces(spread.field, 4, 2, budget=None)
     member_set = set(spread.members)
     counts: Counter[frozenset[int]] = Counter()
-    for w in lines:
+    for w in enumerate_subspaces(spread.field, 4, 2, budget=None):
         if w in member_set:
             continue
         hits = spread.meets(w)

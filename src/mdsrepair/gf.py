@@ -13,7 +13,7 @@ import functools
 from collections.abc import Sequence
 
 TABLE_LIMIT = 256
-DEFAULT_SIZE_CAP = 1 << 16
+SIZE_CAP = 1 << 16  # largest field order accepted
 
 
 def _is_prime(p: int) -> bool:
@@ -232,26 +232,20 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-def make_field(
-    p: int,
-    m: int = 1,
-    modulus: Sequence[int] | None = None,
-    *,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> FieldCtx:
-    """Construct GF(p^m).
+def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> FieldCtx:
+    """Construct GF(p^m), refused above SIZE_CAP elements.
 
     The modulus is given low to high including the leading 1, and defaults
     to the monic irreducible of degree m whose encoding is smallest.
     """
-    if p > size_cap:  # also keeps the trial division below short
-        raise ValueError(f"field size {p}^{m} exceeds cap {size_cap}")
+    if p > SIZE_CAP:  # also keeps the trial division below short
+        raise ValueError(f"field size {p}^{m} exceeds cap {SIZE_CAP}")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"m = {m} must be positive")
-    if m >= size_cap.bit_length() or p**m > size_cap:
-        raise ValueError(f"field size {p}^{m} exceeds cap {size_cap}")
+    if m >= SIZE_CAP.bit_length() or p**m > SIZE_CAP:
+        raise ValueError(f"field size {p}^{m} exceeds cap {SIZE_CAP}")
     if modulus is None:
         mod = _default_modulus(p, m)
     else:
@@ -263,13 +257,13 @@ def make_field(
     return _build_field(p, m, mod)
 
 
-def prime_power(q: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> tuple[int, int]:
+def prime_power(q: int) -> tuple[int, int]:
     """(p, m) with q = p^m, by trial division and without building tables.
 
-    q above size_cap is refused first: the division takes up to sqrt(q) steps.
+    q above SIZE_CAP is refused first: the division takes up to sqrt(q) steps.
     """
-    if q > size_cap:
-        raise ValueError(f"field size {q} exceeds cap {size_cap}")
+    if q > SIZE_CAP:
+        raise ValueError(f"field size {q} exceeds cap {SIZE_CAP}")
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
     p = 2
@@ -288,10 +282,9 @@ def prime_power(q: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> tuple[int, int]:
     return p, m
 
 
-def field_of_order(q: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
+def field_of_order(q: int) -> FieldCtx:
     """GF(q) with the default modulus, for q any prime power."""
-    p, m = prime_power(q, size_cap=size_cap)
-    return make_field(p, m, size_cap=size_cap)
+    return make_field(*prime_power(q))
 
 
 class ExtensionCtx:
@@ -459,15 +452,9 @@ def _build_extension(base: FieldCtx, ell: int, top: FieldCtx) -> ExtensionCtx:
     return ExtensionCtx(base, top, ell)
 
 
-def make_extension(
-    base: FieldCtx,
-    ell: int,
-    top_modulus: Sequence[int] | None = None,
-    *,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> ExtensionCtx:
-    """Construct the degree ell extension of base as an ExtensionCtx."""
+def make_extension(base: FieldCtx, ell: int) -> ExtensionCtx:
+    """The degree ell extension of base, its top field on the default modulus."""
     if ell < 1:
         raise ValueError(f"ell = {ell} must be positive")
-    top = make_field(base.p, base.m * ell, top_modulus, size_cap=size_cap)
+    top = make_field(base.p, base.m * ell)
     return _build_extension(base, ell, top)

@@ -2,7 +2,9 @@
 
 Everything here is exact and deterministic.  Matrices and subspaces are
 immutable value objects; a subspace is always held in reduced row echelon
-form, which makes equality, hashing and enumeration order canonical.
+form, which makes equality, hashing and enumeration order canonical.  A
+projective point is the tuple of its normalised representative, whose
+first nonzero entry is 1.
 """
 from __future__ import annotations
 
@@ -10,7 +12,6 @@ import bisect
 import functools
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 from ._kernel import rre_rank, rref_rank
 from .gf import FieldCtx
@@ -521,22 +522,8 @@ def projective_point_count(dim: int, q: int) -> int:
     return (q**dim - 1) // (q - 1)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """A projective point: the representative has first nonzero entry 1."""
-
-    field: FieldCtx
-    representative: tuple[int, ...]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.representative)
-
-    def __lt__(self, other: "ProjPoint") -> bool:
-        return self.representative < other.representative
-
-
-def proj_point(field: FieldCtx, vec: Sequence[int]) -> ProjPoint:
+def proj_point(field: FieldCtx, vec: Sequence[int]) -> tuple[int, ...]:
+    """The projective point spanned by vec: vec scaled to first nonzero entry 1."""
     v = [field.check(x) for x in vec]
     lead = next((x for x in v if x), 0)
     if not lead:
@@ -544,7 +531,7 @@ def proj_point(field: FieldCtx, vec: Sequence[int]) -> ProjPoint:
     if lead != 1:
         s = field.inv(lead)
         v = [field.mul(s, x) for x in v]
-    return ProjPoint(field, tuple(v))
+    return tuple(v)
 
 
 def _point_vectors(space: Subspace) -> list[tuple[int, ...]]:
@@ -596,6 +583,6 @@ def points_mask(field: FieldCtx, ambient_dim: int, reps: Iterable[tuple[int, ...
     return mask
 
 
-def projective_points(space: Subspace) -> tuple[ProjPoint, ...]:
-    """The points of P(space), each normalized, in a fixed order."""
-    return tuple(ProjPoint(space.field, v) for v in _point_vectors(space))
+def projective_points(space: Subspace) -> tuple[tuple[int, ...], ...]:
+    """The points of P(space) as normalised tuples, in a fixed order."""
+    return tuple(_point_vectors(space))

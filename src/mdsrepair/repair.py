@@ -148,7 +148,7 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
     """
     dims = [intersect_dim(w, h) for h in code.node_subspaces]
     zs = [
-        sum(w.contains_vector(p.representative) for p in plist)
+        sum(w.contains_vector(p) for p in plist)
         for plist in code.column_points
     ]
     return dims, zs
@@ -273,9 +273,7 @@ def _blocks(
 
 
 def _scan(
-    code: ArrayCode,
-    nodes: Sequence[int],
-    budget: int,
+    code: ArrayCode, budget: int
 ) -> tuple[dict[int, tuple[int, Subspace]], dict[int, tuple[int, Subspace]], int, int, list[str]]:
     """Per node maxima of both objectives over the first min(budget, total) candidates.
 
@@ -296,9 +294,7 @@ def _scan(
     d = code.ambient_dim
     wdim = (code.r - 1) * code.ell
     tops = [projective_point_count(t, f.q).bit_length() - 1 for t in range(1, code.ell + 1)]
-    col_masks = [
-        points_mask(f, d, (p.representative for p in plist)) for plist in code.column_points
-    ]
+    col_masks = [points_mask(f, d, plist) for plist in code.column_points]
     if any(cm & ~h.point_mask for cm, h in zip(col_masks, code.node_subspaces)):
         raise ValueError("column point outside its node subspace")
     node_bits = [list(_bits(h.point_mask)) for h in code.node_subspaces]
@@ -338,7 +334,7 @@ def _scan(
         if any(excess):
             anomalies.extend(_anomaly_messages(code, start, excess, col_masks))
         live = (1 << length) - 1
-        for i in nodes:
+        for i in range(code.n):
             miss = live & ~meets[i]
             if not miss:
                 continue
@@ -385,52 +381,22 @@ def _anomaly_messages(
     return msgs
 
 
-def _check_node_invariants(
-    code: ArrayCode, node: int, alpha: int, witness: RepairWitness, capacity: int
-) -> None:
-    if alpha > capacity:
-        raise AssertionError(
-            f"node {node}: saving {alpha} exceeds the projective point capacity {capacity}"
-        )
-    if alpha == capacity:
-        if any(d > 1 for _, d in witness.helper_dims):
-            raise AssertionError(
-                f"node {node}: bound attained but a helper intersection exceeds dim 1"
-            )
-        if code.n < 1 + capacity:
-            raise AssertionError(
-                f"node {node}: bound attained with n={code.n} < {1 + capacity} helpers+1"
-            )
-
-
 def optimal_alpha(
     code: ArrayCode, node: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[int, RepairWitness]:
     """Exhaustive maximum of the total helper intersection dimension.
 
     Returns the maximum together with the first witness in enumeration
-    order.  Raises BudgetExceededError when the candidate count exceeds
-    the budget.
+    order, both read off repair_report.  Raises BudgetExceededError when
+    the candidate count exceeds the budget.
     """
-    _require_repairable(code, node)
-    cap = projective_point_count((code.r - 1) * code.ell, code.field.q)
+    if not 0 <= node < code.n:
+        raise ValueError(f"node {node} out of range")
     total = gaussian_binomial(code.ambient_dim, (code.r - 1) * code.ell, code.field.q)
     if total > budget:
         raise BudgetExceededError(f"{total} candidates exceed the budget of {budget}")
-    best_dim, _, _, _, _ = _scan(code, [node], budget)
-    if node not in best_dim:
-        raise AssertionError("no feasible repair subspace exists for an MDS code node")
-    alpha, w = best_dim[node]
-    witness = _checked_witness(code, node, w, "bw", alpha, {})
-    _check_node_invariants(code, node, alpha, witness, cap)
-    return alpha, witness
-
-
-def _require_repairable(code: ArrayCode, node: int | None = None) -> None:
-    if code.n < 2:
-        raise ValueError("repair needs at least one helper, so n >= 2")
-    if node is not None and not 0 <= node < code.n:
-        raise ValueError(f"node {node} out of range")
+    nd = repair_report(code, budget=budget).nodes[node]
+    return nd.alpha, nd.alpha_witness
 
 
 def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> RepairReport:
@@ -440,19 +406,21 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     alpha and lambda become lower bounds, beta and gamma upper bounds, and
     the attainment flags are dropped from the aggregate properties.  A
     prefix holding no repair subspace for some node raises
-    BudgetExceededError.
+    BudgetExceededError.  Every report asserts lambda <= alpha per node;
+    an exhaustive one also asserts the capacity invariants, beta >= bound
+    and, for r >= 3 and ell >= 2, beta != bound.
     """
-    _require_repairable(code)
+    if code.n < 2:
+        raise ValueError("repair needs at least one helper, so n >= 2")
     q = code.field.q
     wdim = (code.r - 1) * code.ell
     cap = projective_point_count(wdim, q)
     bound = counting_bound(code.n, code.r, code.ell, q)
-    nodes = list(range(code.n))
-    best_dim, best_pts, total, scanned, anomalies = _scan(code, nodes, budget)
+    best_dim, best_pts, total, scanned, anomalies = _scan(code, budget)
     exhaustive = scanned == total
     profiles: dict[Subspace, _Profile] = {}  # one rank-oracle run per distinct W
     summaries = []
-    for i in nodes:
+    for i in range(code.n):
         if i not in best_dim:
             if not exhaustive:
                 raise BudgetExceededError(
@@ -471,7 +439,18 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
         beta = code.ell * (code.n - 1) - alpha
         gamma = code.ell * (code.n - 1) - lam
         if exhaustive:
-            _check_node_invariants(code, i, alpha, wit_a, cap)
+            if alpha > cap:
+                raise AssertionError(
+                    f"node {i}: saving {alpha} exceeds the projective point capacity {cap}"
+                )
+            if alpha == cap and any(d > 1 for _, d in wit_a.helper_dims):
+                raise AssertionError(
+                    f"node {i}: bound attained but a helper intersection exceeds dim 1"
+                )
+            if alpha == cap and code.n < 1 + cap:
+                raise AssertionError(
+                    f"node {i}: bound attained with n={code.n} < {1 + cap} helpers+1"
+                )
             if beta < bound:
                 raise AssertionError(f"node {i}: bandwidth {beta} undercuts the bound {bound}")
             if code.r >= 3 and code.ell >= 2 and beta == bound:
@@ -598,20 +577,36 @@ class SweepResult:
         return self.bound_range is None or self.bound_range[1] <= 0
 
 
-def _bound_sweep(
+def verify_bound_sweep(
     q: int,
     ell: int,
     r: int,
     *,
     trials: int,
-    seed: int,
-    strict: bool,
-    n_values: Sequence[int] | None,
+    seed: int = 0,
+    n_values: Sequence[int] | None = None,
 ) -> SweepResult:
+    """Check beta_i >= bound and gamma_i >= beta_i on random MDS codes.
+
+    The checks are repair_report's own: a report that fails one raises
+    AssertionError, whose message becomes that code's violation.  The
+    sampler's pool, the ell-subspaces of GF(q)^(r*ell), is refused above
+    the cache limit before any length is listed.
+    """
     from .code import length_bound
     from .gf import field_of_order
 
+    if r < 2 or ell < 1:
+        raise ValueError("need r >= 2 and ell >= 1")
     field = field_of_order(q)
+    # the pool holds at least q^((r-1)*ell*ell) subspaces: refuse a large one uncounted
+    if (r - 1) * ell * ell >= linalg._CACHE_LIMIT.bit_length() or (
+        gaussian_binomial(r * ell, ell, q) > linalg._CACHE_LIMIT
+    ):
+        raise BudgetExceededError(
+            f"the {ell}-subspaces of GF({q})^{r * ell} exceed the cache limit "
+            f"of {linalg._CACHE_LIMIT}"
+        )
     if n_values is None:
         n_values = list(range(r + 1, length_bound(q, ell, r) + 1))
     if not n_values:
@@ -632,7 +627,11 @@ def _bound_sweep(
             failures += 1
             continue
         codes += 1
-        report = repair_report(code)
+        try:
+            report = repair_report(code)
+        except AssertionError as exc:
+            violations.append(f"n={n}: {exc}")
+            continue
         assert report.exhaustive
         bounds.append(report.bound)
         for nd in report.nodes:
@@ -640,20 +639,8 @@ def _bound_sweep(
             slack = nd.beta - report.bound
             if min_slack is None or slack < min_slack:
                 min_slack = slack
-            if nd.gamma < nd.beta:
-                violations.append(
-                    f"n={n} node={nd.node}: gamma {nd.gamma} < beta {nd.beta}"
-                )
-            if slack < 0:
-                violations.append(
-                    f"n={n} node={nd.node}: beta {nd.beta} below bound {report.bound}"
-                )
-            elif slack == 0:
+            if slack == 0:
                 equalities.append((n, nd.node))
-                if strict:
-                    violations.append(
-                        f"n={n} node={nd.node}: beta equals the bound, strictness fails"
-                    )
     return SweepResult(
         q=q,
         ell=ell,
@@ -669,21 +656,6 @@ def _bound_sweep(
     )
 
 
-def verify_bound_sweep(
-    q: int,
-    ell: int,
-    r: int,
-    *,
-    trials: int,
-    seed: int = 0,
-    n_values: Sequence[int] | None = None,
-) -> SweepResult:
-    """Check beta_i >= bound and gamma_i >= beta_i on random MDS codes."""
-    if r < 2 or ell < 1:
-        raise ValueError("need r >= 2 and ell >= 1")
-    return _bound_sweep(q, ell, r, trials=trials, seed=seed, strict=False, n_values=n_values)
-
-
 def verify_strictness_sweep(
     q: int,
     ell: int,
@@ -693,7 +665,11 @@ def verify_strictness_sweep(
     seed: int = 0,
     n_values: Sequence[int] | None = None,
 ) -> SweepResult:
-    """Check beta_i > bound strictly on random MDS codes, for r >= 3, ell >= 2."""
+    """Check beta_i > bound strictly on random MDS codes, for r >= 3, ell >= 2.
+
+    verify_bound_sweep at these parameters: repair_report asserts beta !=
+    bound there, so an equality case is a violation.
+    """
     if r < 3 or ell < 2:
         raise ValueError("strictness requires r >= 3 and ell >= 2")
-    return _bound_sweep(q, ell, r, trials=trials, seed=seed, strict=True, n_values=n_values)
+    return verify_bound_sweep(q, ell, r, trials=trials, seed=seed, n_values=n_values)

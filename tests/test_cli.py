@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mdsrepair import cli, geometry
+from mdsrepair import cli, geometry, repair
 from mdsrepair.cli import run
 from mdsrepair.code import MdsCheck, code_from_intrinsic, deserialize, serialize
 from mdsrepair.constructions import build_two_parity_code
@@ -92,7 +93,7 @@ def test_verify_mds_over_the_subset_cap_is_exit_1(capsys, monkeypatch, tmp_path)
     assert out == ""
     assert err == (
         "mdsrepair: error: 8 choose 2 = 28 block subsets exceed the MDS check's cap of "
-        f"{cli.DEFAULT_MDS_CAP}\n"
+        f"{cli.MDS_CAP}\n"
     )
 
 
@@ -294,6 +295,90 @@ def test_regularity_pass_over_the_line_budget_is_exit_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "mdsrepair: error: 130 lines exceed the budget of 129\n"
+
+
+def test_spread_check_over_the_pair_budget_is_exit_1(capsys, monkeypatch):
+    # the field spread of PG(3, 4) has 17 members, so 136 pairs to test
+
+    def refuse(*args):
+        raise AssertionError("the spread was built before the budget check")
+
+    monkeypatch.setattr(cli, "DEFAULT_ENUM_BUDGET", 136)
+    code, out, _ = _run(capsys, ["geometry", "spread-check", "--q", "4"])
+    assert code == 0 and out == "field spread of PG(3, 4): 17 members, ok\n"
+    monkeypatch.setattr(cli, "DEFAULT_ENUM_BUDGET", 135)
+    monkeypatch.setattr(cli, "desarguesian_spread", refuse)
+    code, out, err = _run(capsys, ["geometry", "spread-check", "--q", "4"])
+    assert code == 1
+    assert out == ""
+    assert err == "mdsrepair: error: 136 member pairs exceed the budget of 135\n"
+
+
+def _cli_under_400_mb(argv):
+    """The CLI in a child whose address space is capped, so a huge allocation fails fast."""
+    cap = 400 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "mdsrepair.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "2", "--r", "1000000", "--ell", "1000000", "--q", "2"],
+        ["--n", "2", "--r", "3000", "--ell", "3000", "--q", "2"],
+        ["--n", "9" * 3000, "--r", "1", "--ell", "9" * 3000, "--q", "2"],
+    ],
+    ids=["memory", "digits", "product"],
+)
+def test_bound_too_long_to_print_is_exit_1(argv):
+    # refused before q^((r-1)*ell) is computed, with no interpreter hint
+    proc = _cli_under_400_mb(["bound", *argv])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    limit = sys.get_int_max_str_digits()
+    assert proc.stderr == (
+        f"mdsrepair: error: the bound would pass the {limit} digit limit on printed integers\n"
+    )
+
+
+def test_bound_just_under_the_digit_limit_prints(capsys):
+    # 2^14284 has 4300 digits, the default limit
+    code, out, _ = _run(capsys, ["bound", "--n", "2", "--r", "14285", "--ell", "1", "--q", "2"])
+    assert code == 0
+    assert out == f"{1 - (2**14284 - 1)}\n"
+
+
+@pytest.mark.parametrize("ell", ["30", "1000"])
+def test_strictness_pool_over_the_cache_limit_is_exit_1(ell):
+    proc = _cli_under_400_mb(["check", "strictness", "--ell", ell, "--trials", "1"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"mdsrepair: error: the {ell}-subspaces of GF(2)^{3 * int(ell)} exceed the cache "
+        "limit of 500000\n"
+    )
+
+
+def test_check_strictness_reports_a_failed_report_as_a_violation(capsys, monkeypatch):
+    # the bound raised by 10, the smallest slack of these five codes, plants an
+    # equality case, which the report itself refuses at r = 3, ell = 2
+    bound = repair.counting_bound
+    monkeypatch.setattr(repair, "counting_bound", lambda *args: bound(*args) + 10)
+    code, out, err = _run(capsys, ["check", "strictness", "--q", "2", "--r", "3", "--trials", "5"])
+    assert code == 2
+    assert err == ""
+    assert out.startswith("5 codes over GF(2) with r = 3: min slack ")
+    assert out.endswith(" violations FAIL\n")
+    assert " 0 violations" not in out
 
 
 def test_internal_check_failure_is_exit_2_without_traceback(capsys, monkeypatch):

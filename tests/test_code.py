@@ -64,7 +64,7 @@ def test_intrinsic_rejections():
     members = s.members[:4]
     good = [[proj_point(field, v) for v in mem.basis_rows()] for mem in members]
     outside = proj_point(field, (1, 0, 0, 0))
-    assert not members[1].contains_vector(outside.representative)
+    assert not members[1].contains_vector(outside)
     with pytest.raises(ValueError):
         code_from_intrinsic(members, column_points=[good[0], [outside, good[1][1]]] + good[2:])
     with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ def test_wb_subspace_hits_exactly_the_coset():
     # H_0 and H_infinity entirely
     for q in (3, 4):
         ext = _ext(q)
-        spread = desarguesian_spread(q, 2, ext=ext)
+        spread = desarguesian_spread(q, 2)
         sigma = norm_kernel(ext)
         for b in (1, 2):
             w = wb_subspace(ext, b)

@@ -38,6 +38,15 @@ def test_desarguesian_spread_sizes_and_labels():
     assert is_spread(s.field, 3, s.members)
 
 
+def test_field_spread_over_a_top_field_without_tables():
+    # GF(289) computes without tables: its members come from the
+    # polynomial arithmetic, and all 290 must still partition the points
+    s = desarguesian_spread(17, 2)
+    assert not make_extension(field_of_order(17), 2).top.has_tables
+    assert len(s) == 290
+    assert is_spread(s.field, 2, s.members)
+
+
 def test_member_shapes():
     ext = make_extension(field_of_order(3), 2)
     inf = desarguesian_member(ext, INF)

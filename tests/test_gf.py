@@ -4,7 +4,14 @@ import random
 import pytest
 import sympy
 
-from mdsrepair.gf import field_of_order, is_irreducible, make_extension, make_field, prime_power
+from mdsrepair.gf import (
+    TABLE_LIMIT,
+    field_of_order,
+    is_irreducible,
+    make_extension,
+    make_field,
+    prime_power,
+)
 
 
 def test_prime_field_arithmetic():
@@ -33,8 +40,8 @@ def test_field_of_order_accepts_prime_powers_only():
         field_of_order(6)
     with pytest.raises(ValueError):
         field_of_order(1)
-    with pytest.raises(ValueError, match="exceeds cap 100"):
-        prime_power(101, size_cap=100)
+    with pytest.raises(ValueError, match="exceeds cap 65536"):
+        prime_power(65537)  # a prime, refused by the size cap alone
     # refused before trial division up to its square root, about 10^9 steps
     with pytest.raises(ValueError, match="exceeds cap"):
         field_of_order(1000000000000000003)
@@ -161,17 +168,30 @@ def test_is_irreducible_matches_sympy():
 
 
 def test_field_tables_match_sympy_products():
+    # every pair for the table fields; for the fields above TABLE_LIMIT,
+    # which compute without tables, seeded sampled pairs
     x = sympy.symbols("x")
-    for q in (4, 8, 9, 16, 25, 27):
+    rng = random.Random(5)
+    for q in (4, 8, 9, 16, 25, 27, 289, 343, 1024):
         f = field_of_order(q)
+        assert f.has_tables == (q <= TABLE_LIMIT)
         modulus = sympy.Poly(f.modulus[::-1], x, modulus=f.p)
-        polys = [sympy.Poly(f.to_poly(a)[::-1], x, modulus=f.p) for a in range(q)]
+
+        def poly(a):
+            return sympy.Poly(f.to_poly(a)[::-1], x, modulus=f.p)
 
         def code_of(g):
-            digits = [int(c) for c in g.all_coeffs()[::-1]]
+            digits = [int(c) % f.p for c in g.all_coeffs()[::-1]]
             return f.from_poly(digits + [0] * (f.m - len(digits)))
 
-        for a in range(q):
-            for b in range(a, q):
-                assert f.mul(a, b) == code_of((polys[a] * polys[b]).rem(modulus)), (q, a, b)
-                assert f.add(a, b) == code_of(polys[a] + polys[b]), (q, a, b)
+        if f.has_tables:
+            pairs = [(a, b) for a in range(q) for b in range(a, q)]
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(150)]
+        for a, b in pairs:
+            pa, pb = poly(a), poly(b)
+            assert f.mul(a, b) == code_of((pa * pb).rem(modulus)), (q, a, b)
+            assert f.add(a, b) == code_of(pa + pb), (q, a, b)
+            assert f.sub(a, b) == code_of(pa - pb), (q, a, b)
+            if b:
+                assert f.inv(b) == code_of(pb.invert(modulus)), (q, b)

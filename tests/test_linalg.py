@@ -201,8 +201,8 @@ def test_projective_points():
     assert len(pts) == 4
     assert len(set(pts)) == 4
     for p in pts:
-        assert space.contains_vector(p.representative)
-        assert next(v for v in p.representative if v) == 1
+        assert space.contains_vector(p)
+        assert next(v for v in p if v) == 1
 
 
 def test_proj_point_normalizes_scalar_multiples():

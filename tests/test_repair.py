@@ -170,7 +170,7 @@ def test_optimal_lambda_never_exceeds_alpha():
             assert nd.lambda_witness.io == code.ell * (code.n - 1) - nd.lam
 
 
-def _reference_scan(code, nodes, budget):
+def _reference_scan(code, budget):
     """The per-candidate loop over the rank profile, keeping first maximizers."""
     wdim = (code.r - 1) * code.ell
     total = gaussian_binomial(code.ambient_dim, wdim, code.field.q)
@@ -187,7 +187,7 @@ def _reference_scan(code, nodes, budget):
                     f"captured points exceed intersection dimension at node {j}: "
                     f"z={zs[j]} dim={dims[j]} W={w.entries}"
                 )
-        for i in nodes:
+        for i in range(code.n):
             if dims[i]:
                 continue
             for best, value in ((best_dim, sum(dims) - dims[i]), (best_pts, sum(zs) - zs[i])):
@@ -215,26 +215,24 @@ def test_scan_matches_reference_scan(budget, monkeypatch):
         raise AssertionError("the scan called the row-reduction kernel")
 
     for code in _differential_codes():
-        nodes = list(range(code.n))
-        want = _reference_scan(code, nodes, budget)
+        want = _reference_scan(code, budget)
         with monkeypatch.context() as m:
             m.setattr(linalg, "rre_rank", no_rank)
             m.setattr(linalg, "rref_rank", no_rank)
-            got = _scan(code, nodes, budget)
+            got = _scan(code, budget)
         assert got == want
 
 
 def test_streamed_blocks_match_the_cached_scan(monkeypatch):
     code = build_two_parity_code(3, 2, 8)[0]
-    nodes = list(range(code.n))
     cached = repair_report(code)
-    ref_dim, ref_pts, total, _, _ = _reference_scan(code, nodes, 10**7)
+    ref_dim, ref_pts, total, _, _ = _reference_scan(code, 10**7)
     chunk = 7
     # every maximizer position per node and objective, from the rank profile
     spaces = all_subspaces(code.field, code.ambient_dim, code.ell)
     profiles = [_rank_profile(code, w) for w in spaces]
     split = 0
-    for i in nodes:
+    for i in range(code.n):
         for best, col in ((ref_dim, 0), (ref_pts, 1)):
             at_max = [
                 pos for pos, prof in enumerate(profiles)
@@ -251,7 +249,7 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
     monkeypatch.setattr(repair, "subspace_incidence", refuse)
     assert repair_report(code) == cached
     for budget in (10**7, 30):
-        assert _scan(code, nodes, budget) == _reference_scan(code, nodes, budget)
+        assert _scan(code, budget) == _reference_scan(code, budget)
 
 
 def _live_subspaces():
@@ -311,6 +309,15 @@ def test_report_witnesses_match_standalone_witnesses():
     assert checked == {True, False}
 
 
+def test_optimal_alpha_is_the_reports_alpha_and_witness():
+    for code in _witness_mix():
+        rep = repair_report(code)
+        for nd in rep.nodes:
+            assert optimal_alpha(code, nd.node) == (nd.alpha, nd.alpha_witness)
+    with pytest.raises(ValueError, match="node 6 out of range"):
+        optimal_alpha(_spread_code(3, 6), 6)
+
+
 def test_rank_oracle_runs_once_per_distinct_repair_subspace(monkeypatch):
     calls = []
 
@@ -345,18 +352,17 @@ def test_anomalies_match_reference_scan(monkeypatch, caplog):
     # a W meeting node 1 or 3 in the line of its columns captures 3 points
     # of a 2-dimensional intersection; messages come candidate by candidate
     code = _collinear_columns_code([1, 3])
-    nodes = list(range(code.n))
-    want = _reference_scan(code, nodes, 10**7)[4]
+    want = _reference_scan(code, 10**7)[4]
     flagged = [msg.split(":")[0][-1] for msg in want]
     assert set(flagged) == {"1", "3"} and flagged != sorted(flagged)
     assert all(": z=3 dim=2 W=" in msg for msg in want)
     with caplog.at_level(logging.WARNING, logger="mdsrepair.repair"):
-        assert _scan(code, nodes, 10**7)[4] == want
+        assert _scan(code, 10**7)[4] == want
     assert [rec.getMessage() for rec in caplog.records] == want
     monkeypatch.setattr(linalg, "_CACHE_LIMIT", 1)
     monkeypatch.setattr(repair, "_CHUNK", 5)
-    assert _scan(code, nodes, 10**7)[4] == want
-    assert _scan(code, nodes, 200)[4] == _reference_scan(code, nodes, 200)[4]
+    assert _scan(code, 10**7)[4] == want
+    assert _scan(code, 200)[4] == _reference_scan(code, 200)[4]
 
 
 def test_scan_rejects_a_column_point_outside_its_node():
@@ -455,6 +461,28 @@ def test_sweep_records_the_bound_range_and_vacuity():
     assert mixed.bound_range == (0, 2) and not mixed.vacuous
     assert dataclasses.replace(mixed, bound_range=(-3, 0)).vacuous
     assert dataclasses.replace(mixed, bound_range=None).vacuous  # no code tested
+
+
+def test_sweep_records_a_failed_report_as_a_violation(monkeypatch):
+    # a bound raised by 1 undercuts the attaining nodes of (2, 2, 2) codes: the
+    # report raises, and the sweep keeps its message as that code's violation
+    n, seed = 4, 0
+    bound = repair.counting_bound
+    monkeypatch.setattr(repair, "counting_bound", lambda *args: bound(*args) + 1)
+    code = random_mds_code(field_of_order(2), 2, 2, n, random.Random(seed))
+    with pytest.raises(AssertionError, match="undercuts the bound") as exc:
+        repair_report(code)
+    res = verify_bound_sweep(2, 2, 2, trials=1, seed=seed, n_values=[n])
+    assert res.ok is False
+    assert res.violations == (f"n={n}: {exc.value}",)
+    assert res.codes_tested == 1 and res.nodes_checked == 0
+
+
+def test_sweep_refuses_a_pool_over_the_cache_limit():
+    # [3000, 1000]_2 is never counted; [12, 4]_2 = 13,910,980,083 is
+    for ell in (1000, 4):
+        with pytest.raises(BudgetExceededError, match="exceed the cache limit of 500000"):
+            verify_strictness_sweep(2, ell, 3, trials=1)
 
 
 def test_verify_strictness_sweep_small():
