@@ -4,7 +4,11 @@ Everything here is exact and deterministic.  Matrices and subspaces are
 immutable value objects; a subspace is always held in reduced row echelon
 form, which makes equality, hashing and enumeration order canonical.  A
 projective point is the tuple of its normalised representative, whose
-first nonzero entry is 1.
+first nonzero entry is 1.  The points of F_q^d carry canonical numbers:
+the point whose leading 1 sits at position L is number sum_{k<L} q^(d-1-k)
+plus its entries after L read as a base q numeral.  That numbers the
+(q^d - 1)/(q - 1) points from 0 up, ordered by L and then by the tail, and
+bit b of every point mask stands for point number b.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ from .gf import FieldCtx
 
 DEFAULT_ENUM_BUDGET = 10**7
 _CACHE_LIMIT = 500_000
-_INCIDENCE_STEP = 512  # spaces transposed at once by point_incidence; a multiple of 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -141,21 +144,19 @@ class MatrixGF:
         return f"MatrixGF({self.field!r}, {self.rows}x{self.cols})"
 
 
-def _tables(field: FieldCtx) -> tuple[bytes, bytes, bytes]:
-    return field.sub_tab, field.mul_tab, field.inv_tab
+def _tables(field: FieldCtx) -> tuple[int, bytes, bytes, bytes]:
+    """The field arguments of the row-reduction kernels."""
+    return field.q, field.sub_tab, field.mul_tab, field.inv_tab
 
 
 def rank(mat: MatrixGF) -> int:
-    buf = bytearray(mat.packed)
-    sub, mul, inv = _tables(mat.field)
-    return rre_rank(buf, mat.rows, mat.cols, mat.field.q, sub, mul, inv)
+    return rre_rank(bytearray(mat.packed), mat.rows, mat.cols, *_tables(mat.field))
 
 
 def rref(mat: MatrixGF) -> tuple[MatrixGF, int]:
     """Reduced row echelon form of mat (zero rows kept) and its rank."""
     buf = bytearray(mat.packed)
-    sub, mul, inv = _tables(mat.field)
-    r = rref_rank(buf, mat.rows, mat.cols, mat.field.q, sub, mul, inv)
+    r = rref_rank(buf, mat.rows, mat.cols, *_tables(mat.field))
     return MatrixGF(mat.field, mat.rows, mat.cols, tuple(buf)), r
 
 
@@ -194,8 +195,7 @@ class Subspace:
             flat.extend(field.check(x) for x in row)
             count += 1
         buf = bytearray(flat)
-        sub, mul, inv = _tables(field)
-        r = rref_rank(buf, count, ambient_dim, field.q, sub, mul, inv)
+        r = rref_rank(buf, count, ambient_dim, *_tables(field))
         entries = tuple(buf[: r * ambient_dim])
         pivots = tuple(
             next(j for j in range(ambient_dim) if entries[i * ambient_dim + j])
@@ -224,7 +224,7 @@ class Subspace:
     def point_mask(self) -> int:
         """Bitmask of the projective points of this subspace, computed once.
 
-        Bits come from the point index of (field, ambient_dim), so
+        Bit b stands for the point with canonical number b, so
         (u.point_mask & v.point_mask).bit_count() is the number of points
         of U meet V.
         """
@@ -274,9 +274,7 @@ def kernel(mat: MatrixGF) -> Subspace:
     red, r = rref(mat)
     f = mat.field
     d = mat.cols
-    pivots = []
-    for i in range(r):
-        pivots.append(next(j for j in range(d) if red.entry(i, j)))
+    pivots = [next(j for j in range(d) if red.entry(i, j)) for i in range(r)]
     pivot_set = set(pivots)
     rows = []
     for free in range(d):
@@ -319,11 +317,9 @@ def intersect_dim(u: Subspace, v: Subspace) -> int:
     """dim(U meet V) computed from the rank of the stacked bases."""
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    f = u.field
     buf = bytearray(u.packed)
     buf += v.packed
-    sub, mul, inv = _tables(f)
-    r = rre_rank(buf, u.dim + v.dim, u.ambient_dim, f.q, sub, mul, inv)
+    r = rre_rank(buf, u.dim + v.dim, u.ambient_dim, *_tables(u.field))
     return u.dim + v.dim - r
 
 
@@ -342,16 +338,8 @@ def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
         return Subspace.zero(f, u.ambient_dim)
     stacked = u.basis_matrix.stack(v.basis_matrix)
     left = kernel(stacked.transpose())
-    rows = []
-    for y in left.basis_rows():
-        vec = [0] * u.ambient_dim
-        for i in range(u.dim):
-            c = y[i]
-            if c:
-                base = i * u.ambient_dim
-                for j in range(u.ambient_dim):
-                    vec[j] = f.add(vec[j], f.mul(c, u.entries[base + j]))
-        rows.append(vec)
+    cols = u.basis_matrix.transpose()
+    rows = [cols.mul_vec(y[: u.dim]) for y in left.basis_rows()]  # y's combination of U's rows
     out = Subspace.from_rows(f, u.ambient_dim, rows) if rows else Subspace.zero(f, u.ambient_dim)
     assert out.dim == intersect_dim(u, v)
     return out
@@ -470,52 +458,81 @@ def all_subspaces(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[Subspace
     return tuple(enumerate_subspaces(field, ambient_dim, dim, budget=None))
 
 
-def point_incidence(spaces: Iterable[Subspace], npoints: int, count: int) -> list[int]:
-    """The transpose of the point masks of count spaces: one bitset per point bit.
+def incidence_blocks(
+    field: FieldCtx, ambient_dim: int, dim: int, end: int, chunk: int
+) -> Iterator[tuple[int, int, list[int]]]:
+    """The point incidence of the first end dim dimensional subspaces, block by block.
 
-    Bit c of entry b is bit b of the point_mask of the c-th space read;
-    npoints bounds the point bits.  spaces may be a stream: steps of
-    _INCIDENCE_STEP spaces are read from it and written out as a '0'/'1'
-    matrix, last space first, whose columns a strided slice reads as
-    base 2 numerals into preallocated byte rows, so no space outlives its
-    step.  Each row then becomes an int and is dropped, one point at a
-    time, so the bytes and the ints are never all held at once.
+    Yields (start, length, rows): bit c of rows[b] is set when the subspace
+    at position start + c of enumerate_subspaces holds point number b.  A
+    block is a pivot set of _pivot_sets or, when that holds more than chunk
+    subspaces, a slice of it whose leading free cells are fixed; the block
+    holding end stops there.  No subspace is built: with pivots P, point p
+    lies in the subspace whose free cells hold x exactly when
+    sum_{i: P_i < j} p[P_i] x_ij = p_j for every non-pivot column j.  The
+    columns share no cell, so the positions through p form a sum set, one
+    term per column, and its bitset is the product of one sparse int per
+    column; every position arises once, so the product never carries.
     """
-    width = f"0{npoints}b"
-    rows = [bytearray((count + 7) >> 3) for _ in range(npoints)]
-    stream = iter(spaces)
-    for start in range(0, count, _INCIDENCE_STEP):
-        want = min(_INCIDENCE_STEP, count - start)
-        step = [format(w.point_mask, width) for w in itertools.islice(stream, want)]
-        if len(step) < want:
-            raise ValueError(f"{start + len(step)} spaces given, {count} expected")
-        step += ["0" * npoints] * (-want % 8)
-        step.reverse()
-        mat = "".join(step)
-        del step
-        lo, hi = start >> 3, (start + len(mat) // npoints) >> 3
-        for b, row in enumerate(rows):
-            row[lo:hi] = int(mat[npoints - 1 - b :: npoints], 2).to_bytes(hi - lo, "little")
-    rows.reverse()
-    return [int.from_bytes(rows.pop(), "little") for _ in range(npoints)]
+    _require_tables(field)
+    q = field.q
+    d = ambient_dim
+    add, mul = field.add_tab, field.mul_tab
+    points = [(0,) * lead + (1,) + tail for lead in range(d)
+              for tail in itertools.product(range(q), repeat=d - 1 - lead)]  # canonical order
+    for start, (pivots, _, free) in zip(*_pivot_sets(q, d, dim)):
+        g = 0  # leading free cells fixed per block
+        while q ** (len(free) - g) > chunk:
+            g += 1
+        size = q ** (len(free) - g)
+        place = [0] * g + [q ** (len(free) - 1 - t) for t in range(g, len(free))]
+        cells = [[(pivots[i], t) for t, (i, c) in enumerate(free) if c == j] for j in range(d)]
+        cols = [j for j in range(d - 1, -1, -1) if j not in pivots]  # low place values first
+        tables: dict[tuple, list[int]] = {}  # (column, coef, fixed values) -> per right side,
+        # the bitset of the offsets of the column's solutions
+        for lo, vals in zip(range(start, end, size), itertools.product(range(q), repeat=g)):
+            span = [(v,) for v in vals] + [range(q)] * (len(free) - g)
+            live = (1 << min(size, end - lo)) - 1  # the block stops at end
+            rows = []
+            for p in points:
+                row = 1
+                for j in cols:
+                    coef = tuple([p[i] for i, _ in cells[j]])
+                    key = (j, coef, *[vals[t] for _, t in cells[j] if t < g])
+                    tab = tables.get(key)
+                    if tab is None:
+                        tab = tables[key] = [0] * q
+                        for x in itertools.product(*[span[t] for _, t in cells[j]]):
+                            lhs = 0
+                            for c, v in zip(coef, x):
+                                lhs = add[lhs * q + mul[c * q + v]]
+                            tab[lhs] |= 1 << sum(v * place[t] for v, (_, t) in zip(x, cells[j]))
+                    row *= tab[p[j]]
+                    if not row:
+                        break
+                rows.append(row & live)
+            yield lo, live.bit_length(), rows
 
 
 @functools.lru_cache(maxsize=64)
 def subspace_incidence(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[int, ...]:
-    """point_incidence of every dim dimensional subspace, in enumeration order.
+    """incidence_blocks of every dim dimensional subspace, joined into one bitset per point.
 
-    Built from the enumeration stream, so the cache holds the bitsets
-    alone; subspace_at rebuilds any subspace from its position.  Refused
-    above _CACHE_LIMIT subspaces, where the scan streams its own blocks.
+    The cache holds the bitsets alone; subspace_at rebuilds any subspace
+    from its position.  Refused above _CACHE_LIMIT subspaces, where the
+    scan streams its own blocks.
     """
     total = gaussian_binomial(ambient_dim, dim, field.q)
     if total > _CACHE_LIMIT:
         raise BudgetExceededError(
             f"{total} subspaces exceed the cache limit of {_CACHE_LIMIT}"
         )
-    npoints = projective_point_count(ambient_dim, field.q)
-    stream = enumerate_subspaces(field, ambient_dim, dim, budget=None)
-    return tuple(point_incidence(stream, npoints, total))
+    rows = [0] * projective_point_count(ambient_dim, field.q)
+    for start, _, block in incidence_blocks(field, ambient_dim, dim, total, total):
+        for b in range(len(rows)):
+            rows[b] |= block[b] << start
+            block[b] = 0  # drop each part once joined, so two whole copies never coexist
+    return tuple(rows)
 
 
 def projective_point_count(dim: int, q: int) -> int:
@@ -560,26 +577,21 @@ def _point_vectors(space: Subspace) -> list[tuple[int, ...]]:
     return [p for g in reversed(groups) for p in g]
 
 
-@functools.lru_cache(maxsize=None)
-def _point_index(field: FieldCtx, ambient_dim: int) -> dict[tuple[int, ...], int]:
-    """Bit of each normalised point of F_q^ambient_dim met so far.
-
-    Bits are handed out on first sight and never change, so masks built at
-    different times over one ambient space stay comparable; the index only
-    holds points some mask has used.
-    """
-    return {}
-
-
 def points_mask(field: FieldCtx, ambient_dim: int, reps: Iterable[tuple[int, ...]]) -> int:
-    """Bitmask of the given normalised point representatives."""
-    index = _point_index(field, ambient_dim)
+    """Bitmask of the given normalised point representatives, by canonical number.
+
+    A representative with leading 1 at position L reads as a base q numeral
+    q^(d-1-L) + tail, so its number is that numeral plus shift[L].
+    """
+    q = field.q
+    d = ambient_dim
+    shift = [(q**d - q ** (d - lead)) // (q - 1) - q ** (d - 1 - lead) for lead in range(d)]
     mask = 0
     for rep in reps:
-        bit = index.get(rep)
-        if bit is None:
-            bit = index[rep] = 1 << len(index)
-        mask |= bit
+        num = 0
+        for x in rep:
+            num = num * q + x
+        mask |= 1 << (num + shift[rep.index(1)])
     return mask
 
 

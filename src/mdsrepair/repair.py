@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .code import ArrayCode, code_from_intrinsic, is_mds
@@ -26,11 +26,10 @@ from .linalg import (
     MatrixGF,
     Subspace,
     all_subspaces,
-    enumerate_subspaces,
     gaussian_binomial,
+    incidence_blocks,
     intersect_dim,
     kernel,
-    point_incidence,
     points_mask,
     projective_point_count,
     subspace_at,
@@ -40,7 +39,7 @@ from .linalg import (
 
 log = logging.getLogger(__name__)
 
-_CHUNK = 1 << 15  # streamed candidates per block of the scan
+_CHUNK = 1 << 15  # most candidates per streamed block of the scan
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -251,34 +250,15 @@ def _max_first(planes: list[int], live: int) -> tuple[int, int]:
     return value, (live & -live).bit_length() - 1
 
 
-def _blocks(
-    field: FieldCtx, d: int, wdim: int, total: int, budget: int
-) -> Iterator[tuple[int, int, Sequence[int]]]:
-    """The point incidence of the first min(budget, total) candidates, block by block.
-
-    Yields (offset, length, incidence) per block.  The cached incidence is
-    one block when the count fits both the budget and the cache; otherwise
-    the candidate stream is cut into blocks of _CHUNK, each transposed as
-    it is read.
-    """
-    if total <= min(budget, linalg._CACHE_LIMIT):
-        yield 0, total, subspace_incidence(field, d, wdim)
-        return
-    npoints = projective_point_count(d, field.q)
-    stream = enumerate_subspaces(field, d, wdim, budget=None)
-    end = min(budget, total)
-    for start in range(0, end, _CHUNK):
-        length = min(_CHUNK, end - start)
-        yield start, length, point_incidence(stream, npoints, length)
-
-
 def _scan(
     code: ArrayCode, budget: int
 ) -> tuple[dict[int, tuple[int, Subspace]], dict[int, tuple[int, Subspace]], int, int, list[str]]:
     """Per node maxima of both objectives over the first min(budget, total) candidates.
 
-    Works on bitsets over candidate positions, built from the point
-    incidence block by block (_blocks).  Per node j, the rows of H_j's
+    Works on bitsets over candidate positions, read from the point
+    incidence block by block: the cached incidence is one block when the
+    count fits both the budget and the cache, else incidence_blocks
+    streams blocks of at most _CHUNK.  Per node j, the rows of H_j's
     points add up to a bit-sliced count of the points of W meet H_j, which
     is (q^t - 1)/(q - 1) for t = dim(W meet H_j).  That number lies in
     [2^k, 2^(k+1)), k its bit length minus 1, and every smaller such count
@@ -304,7 +284,11 @@ def _scan(
     best_pts: dict[int, tuple[int, int]] = {}
     anomalies: list[str] = []
     scanned = 0
-    for start, length, inc in _blocks(f, d, wdim, total, budget):
+    if total <= min(budget, linalg._CACHE_LIMIT):
+        blocks: Iterable = [(0, total, subspace_incidence(f, d, wdim))]
+    else:
+        blocks = incidence_blocks(f, d, wdim, min(budget, total), _CHUNK)
+    for start, length, inc in blocks:
         dim_total: list[int] = []
         pts_total: list[int] = []
         meets = []  # per node, the candidates meeting H_j

@@ -1,9 +1,12 @@
 import csv
+import importlib
 import io
 import json
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -26,6 +29,20 @@ def test_bound_prints_the_number(capsys):
     code, out, _ = _run(capsys, ["bound", "--n", "6", "--r", "2", "--ell", "2", "--q", "3"])
     assert code == 0
     assert out.strip() == "6"
+
+
+def test_console_script_target_prints_the_bound(capsys, monkeypatch):
+    # the [project.scripts] entry of pyproject.toml, read by regex since
+    # tomllib needs Python 3.11, run as the installed script would run it
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    entry = re.search(r'^\[project\.scripts\]\nmdsrepair = "([\w.]+):(\w+)"$', text, re.M)
+    target = getattr(importlib.import_module(entry[1]), entry[2])
+    argv = ["mdsrepair", "bound", "--n", "6", "--r", "2", "--ell", "2", "--q", "3"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        target()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "6\n"
 
 
 def test_bound_rejects_bad_parameters(capsys):

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import random
 
 import pytest
@@ -11,10 +13,11 @@ from mdsrepair.linalg import (
     all_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
+    incidence_blocks,
     intersect_dim,
     inverse,
     kernel,
-    point_incidence,
+    points_mask,
     proj_point,
     projective_point_count,
     projective_points,
@@ -232,24 +235,63 @@ def test_row_reduction_kernels_fixed_answers():
         assert not any(buf[r * cols :])
 
 
-@pytest.mark.parametrize("step", [8, 512])
-def test_point_incidence_is_the_transpose_of_point_masks(step, monkeypatch):
-    # from a tuple or from a stream with its count, which is read no further
-    monkeypatch.setattr(linalg, "_INCIDENCE_STEP", step)
-    f = field_of_order(3)
-    npoints = projective_point_count(4, 3)
-    spaces = all_subspaces(f, 4, 2)
-    for length in (1, 7, 8, 9, 130):
-        masks = [w.point_mask for w in spaces[:length]]
-        want = [
-            sum(1 << c for c, m in enumerate(masks) if m >> b & 1) for b in range(npoints)
-        ]
-        assert point_incidence(spaces[:length], npoints, length) == want
-        stream = enumerate_subspaces(f, 4, 2, budget=None)
-        assert point_incidence(stream, npoints, length) == want
-        assert next(stream, None) == (spaces[length] if length < len(spaces) else None)
-    with pytest.raises(ValueError, match="9 spaces given, 10 expected"):
-        point_incidence(iter(spaces[:9]), npoints, 10)
+@pytest.mark.parametrize("q, d", [(2, 4), (3, 4), (4, 4), (2, 5), (3, 3), (5, 3)])
+def test_point_numbers_are_a_bijection_that_agrees_with_proj_point(q, d):
+    # every nonzero vector gets the number of its projective point, and the
+    # numbers run through range(point count) once each, by leading 1 and tail
+    f = field_of_order(q)
+    seen = {}
+    for vec in itertools.product(range(q), repeat=d):
+        if any(vec):
+            rep = proj_point(f, vec)
+            num = points_mask(f, d, [rep]).bit_length() - 1
+            assert seen.setdefault(rep, num) == num
+    assert sorted(seen.values()) == list(range(projective_point_count(d, q)))
+    assert sorted(seen, key=seen.get) == sorted(seen, key=lambda rep: (rep.index(1), rep))
+
+
+def _transposed_masks(f, d, k, end):
+    """The oracle: per point bit, the positions of the first end subspaces holding it."""
+    rows = [bytearray(end // 8 + 1) for _ in range(projective_point_count(d, f.q))]
+    for c, w in enumerate(itertools.islice(enumerate_subspaces(f, d, k, budget=None), end)):
+        for b, bit in enumerate(bin(w.point_mask)[:1:-1]):
+            if bit == "1":
+                rows[b][c >> 3] |= 1 << (c & 7)
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+@pytest.mark.parametrize(
+    "q, d, k", [(2, 4, 2), (3, 4, 2), (4, 4, 2), (2, 6, 3), (3, 6, 3), (2, 6, 4)]
+)
+def test_subspace_incidence_is_the_transpose_of_point_masks(q, d, k):
+    f = field_of_order(q)
+    total = gaussian_binomial(d, k, q)
+    assert list(linalg.subspace_incidence(f, d, k)) == _transposed_masks(f, d, k, total)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_incidence_blocks_match_the_transposed_masks(q):
+    # blocks tile [0, end) in order, each one slice of one pivot set of at
+    # most chunk subspaces; ends fall inside a block and inside a split
+    # pivot set (the first, of q^4 subspaces)
+    f = field_of_order(q)
+    total = gaussian_binomial(4, 2, q)
+    want = _transposed_masks(f, 4, 2, total)
+    starts = linalg._pivot_sets(q, 4, 2)[0]
+    for chunk in (1, 5, q * q):
+        for end in (1, 2, 7, q**3 + 1, total - 1, total):
+            rows = [0] * len(want)
+            pos = 0
+            for start, length, block in incidence_blocks(f, 4, 2, end, chunk):
+                assert start == pos and 0 < length <= chunk
+                k = bisect.bisect_right(starts, start) - 1
+                assert start + length <= (starts + (total,))[k + 1]
+                for b, row in enumerate(block):
+                    assert row >> length == 0
+                    rows[b] |= row << start
+                pos += length
+            assert pos == end
+            assert rows == [row & ((1 << end) - 1) for row in want]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
+import bisect
 import dataclasses
 import gc
 import logging
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from mdsrepair import linalg, repair
-from mdsrepair.code import code_from_intrinsic
+from mdsrepair import cli, linalg, repair
+from mdsrepair.code import code_from_intrinsic, serialize
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
@@ -16,6 +19,7 @@ from mdsrepair.linalg import (
     all_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
+    incidence_blocks,
     intersect_dim,
     kernel,
     proj_point,
@@ -228,6 +232,8 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
     cached = repair_report(code)
     ref_dim, ref_pts, total, _, _ = _reference_scan(code, 10**7)
     chunk = 7
+    blocks = incidence_blocks(code.field, code.ambient_dim, code.ell, total, chunk)
+    starts = [lo for lo, _, _ in blocks]
     # every maximizer position per node and objective, from the rank profile
     spaces = all_subspaces(code.field, code.ambient_dim, code.ell)
     profiles = [_rank_profile(code, w) for w in spaces]
@@ -238,7 +244,7 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
                 pos for pos, prof in enumerate(profiles)
                 if prof[0][i] == 0 and sum(prof[col]) - prof[col][i] == best[i][0]
             ]
-            split += len({pos // chunk for pos in at_max}) > 1
+            split += len({bisect.bisect_right(starts, pos) for pos in at_max}) > 1
     assert split  # some run of maximizers crosses a block boundary
 
     def refuse(*args):
@@ -252,28 +258,66 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
         assert _scan(code, budget) == _reference_scan(code, budget)
 
 
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(budget=st.integers(1, 200))
+@example(budget=10)
+@example(budget=130)
+def test_fuzzed_analyze_budgets_match_the_reference_scan(tmp_path, capsys, budget):
+    # a q=3, ell=2 code of 130 candidates: every budget either prints the
+    # prefix's per node alpha and lambda, or exits 1 naming a node without a
+    # repair subspace in the prefix
+    code = _spread_code(3, 6)
+    path = tmp_path / "code.json"
+    path.write_text(serialize(code))
+    rc = cli.run(["repair", "analyze", "--code", str(path), "--budget", str(budget)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    best_dim, best_pts, total, scanned, _ = _reference_scan(code, budget)
+    assert (total, scanned) == (130, min(budget, 130))
+    if len(best_dim) < code.n:
+        assert rc == 1 and out == ""
+        node = min(set(range(code.n)) - set(best_dim))
+        assert err == (
+            f"mdsrepair: error: no repair subspace for node {node} among the first "
+            f"{scanned} of 130 candidates\n"
+        )
+        return
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert f"scanned {scanned}/130 candidates" in lines[0]
+    rows = [tuple(map(int, line.split()[:3])) for line in lines[2 : 2 + code.n]]
+    assert rows == [(i, best_dim[i][0], best_pts[i][0]) for i in range(code.n)]
+
+
 def _live_subspaces():
     gc.collect()
     return sum(isinstance(obj, Subspace) for obj in gc.get_objects())
 
 
 def test_cold_scan_keeps_no_candidate_subspaces(monkeypatch):
-    # a cold report builds the point incidence from the enumeration stream
-    # and rebuilds only its winners: it never reads all_subspaces, and the
-    # 2,850 candidate lines of PG(3, 7) do not outlive it
+    # a cold report, cached or streamed, builds the point incidence from the
+    # pivot sets and rebuilds only its winners: it never enumerates the
+    # candidates or reads all_subspaces, and the 2,850 candidate lines of
+    # PG(3, 7) do not outlive it
     code = _spread_code(7, 8)
     linalg.subspace_incidence.cache_clear()
-    before = _live_subspaces()
     want = repair_report(code)
-    assert _live_subspaces() - before < 1000
 
-    def refuse(*args):
-        raise AssertionError("the scan read all_subspaces")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan enumerated the candidates")
 
-    linalg.subspace_incidence.cache_clear()
     monkeypatch.setattr(linalg, "all_subspaces", refuse)
     monkeypatch.setattr(repair, "all_subspaces", refuse)
-    assert repair_report(code) == want
+    monkeypatch.setattr(linalg, "enumerate_subspaces", refuse)
+    monkeypatch.setattr(repair, "enumerate_subspaces", refuse, raising=False)
+    for limit in (linalg._CACHE_LIMIT, 1):  # cached, then streamed
+        monkeypatch.setattr(linalg, "_CACHE_LIMIT", limit)
+        linalg.subspace_incidence.cache_clear()
+        before = _live_subspaces()
+        assert repair_report(code) == want
+        assert _live_subspaces() - before < 1000
 
 
 def _witness_mix():
