@@ -69,9 +69,9 @@ from .repair import (
     SweepResult,
     counting_bound,
     make_witness,
+    make_witnesses,
     optimal_alpha,
     random_mds_code,
-    repair_matrix_from_subspace,
     repair_report,
     verify_bound_sweep,
     verify_strictness_sweep,

@@ -25,8 +25,15 @@ from .constructions import (
     check_block_intersection_bound,
     regular_spread_converse_check,
 )
-from .geometry import INF, desarguesian_spread, is_regular_spread, is_spread, regulus_through
-from .gf import field_of_order, make_extension, prime_power
+from .geometry import (
+    INF,
+    desarguesian_spread,
+    is_regular_spread,
+    is_spread,
+    regulus_through,
+    require_line_budget,
+)
+from .gf import extension_order, prime_power
 from .linalg import DEFAULT_ENUM_BUDGET, BudgetExceededError
 from .repair import (
     RepairReport,
@@ -303,7 +310,7 @@ def _cmd_repair(a: argparse.Namespace) -> int:
 
 def _cmd_geometry(a: argparse.Namespace) -> int:
     if a.action == "spread-check":
-        pairs = math.comb(make_extension(field_of_order(a.q), a.ell).top.q + 1, 2)
+        pairs = math.comb(extension_order(a.q, a.ell) + 1, 2)
         if pairs > DEFAULT_ENUM_BUDGET:
             raise BudgetExceededError(
                 f"{pairs} member pairs exceed the budget of {DEFAULT_ENUM_BUDGET}"
@@ -327,8 +334,9 @@ def _cmd_geometry(a: argparse.Namespace) -> int:
             f"{len(reg.transversals)} transversals, {inside} lines inside the spread"
         )
         return 0
-    spread = desarguesian_spread(a.q, 2)
-    check = is_regular_spread(spread)
+    extension_order(a.q, 2)  # refuses a q as desarguesian_spread(q, 2) would, building nothing
+    require_line_budget(a.q)
+    check = is_regular_spread(desarguesian_spread(a.q, 2))
     print(
         f"regular spread check (exhaustive, {check.triples_checked} triples): "
         f"{_verdict(bool(check))}"

@@ -44,7 +44,7 @@ from .linalg import (
     projective_points,
     subspace_intersection,
 )
-from .repair import RepairWitness, _witness, counting_bound, repair_report
+from .repair import RepairWitness, counting_bound, make_witnesses, repair_report
 
 
 def norm_kernel(ext: ExtensionCtx) -> frozenset[int]:
@@ -144,8 +144,7 @@ def _planted_code(
             raise AssertionError(f"node {i} holds more pinned points than columns")
         columns.append(_fill_columns(member, sorted(forced)))
     code = code_from_intrinsic(subspaces, column_points=columns)
-    profiles: dict = {}  # the nodes repaired through one probe share its rank-oracle profile
-    witnesses = tuple(_witness(code, i, w, profiles) for i, w in enumerate(repairs))
+    witnesses = make_witnesses(code, enumerate(repairs))
     if any(wit.bw != target or wit.io != target for wit in witnesses):
         raise AssertionError("planted witness misses the target metrics")
     return code, witnesses

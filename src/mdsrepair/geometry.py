@@ -202,27 +202,29 @@ def transversal_regulus(m: Subspace, spread: Spread) -> tuple[Subspace, ...]:
     return hit
 
 
+def require_line_budget(q: int) -> None:
+    """Raise BudgetExceededError when PG(3, q) has more than DEFAULT_ENUM_BUDGET lines."""
+    total = gaussian_binomial(4, 2, q)
+    if total > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"{total} lines exceed the budget of {DEFAULT_ENUM_BUDGET}")
+
+
 def hit_set_counts(spread: Spread) -> Counter[frozenset[int]]:
     """How many lines of PG(3, q) outside the spread meet each set of members.
 
     The points of an outside line lie on distinct members, so it meets
     exactly q+1 of them; the lines sharing one hit set all meet three of
     its members, so they are transversals of the regulus through those
-    three, at most q+1 lines.  The lines are streamed, never cached.
-    Raises BudgetExceededError when PG(3, q) has more than
-    DEFAULT_ENUM_BUDGET lines.
+    three, at most q+1 lines.  The lines are streamed, never cached, and
+    refused by require_line_budget.
     """
     if spread.ell != 2:
         raise ValueError("hit sets are defined here for spreads of PG(3, q) only")
     q = spread.field.q
-    total = gaussian_binomial(4, 2, q)
-    if total > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{total} lines exceed the budget of {DEFAULT_ENUM_BUDGET}"
-        )
+    require_line_budget(q)
     member_set = set(spread.members)
     counts: Counter[frozenset[int]] = Counter()
-    for w in enumerate_subspaces(spread.field, 4, 2, budget=None):
+    for w in enumerate_subspaces(spread.field, 4, 2):
         if w in member_set:
             continue
         hits = spread.meets(w)

@@ -244,8 +244,7 @@ def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> Fiel
         raise ValueError(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"m = {m} must be positive")
-    if m >= SIZE_CAP.bit_length() or p**m > SIZE_CAP:
-        raise ValueError(f"field size {p}^{m} exceeds cap {SIZE_CAP}")
+    _require_size(p, m)
     if modulus is None:
         mod = _default_modulus(p, m)
     else:
@@ -255,6 +254,12 @@ def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> Fiel
         if not is_irreducible(mod, p):
             raise ValueError(f"modulus {mod} is reducible over GF({p})")
     return _build_field(p, m, mod)
+
+
+def _require_size(p: int, m: int) -> None:
+    """Refuse p^m above SIZE_CAP, sizing m before the power is taken."""
+    if m >= SIZE_CAP.bit_length() or p**m > SIZE_CAP:
+        raise ValueError(f"field size {p}^{m} exceeds cap {SIZE_CAP}")
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -452,9 +457,16 @@ def _build_extension(base: FieldCtx, ell: int, top: FieldCtx) -> ExtensionCtx:
     return ExtensionCtx(base, top, ell)
 
 
-def make_extension(base: FieldCtx, ell: int) -> ExtensionCtx:
-    """The degree ell extension of base, its top field on the default modulus."""
+def extension_order(q: int, ell: int) -> int:
+    """q^ell, refused where make_extension(field_of_order(q), ell) refuses, building no table."""
+    p, m = prime_power(q)
     if ell < 1:
         raise ValueError(f"ell = {ell} must be positive")
-    top = make_field(base.p, base.m * ell)
-    return _build_extension(base, ell, top)
+    _require_size(p, m * ell)
+    return q**ell
+
+
+def make_extension(base: FieldCtx, ell: int) -> ExtensionCtx:
+    """The degree ell extension of base, its top field on the default modulus."""
+    extension_order(base.q, ell)
+    return _build_extension(base, ell, make_field(base.p, base.m * ell))

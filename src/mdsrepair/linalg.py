@@ -358,13 +358,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(
-    field: FieldCtx,
-    ambient_dim: int,
-    dim: int,
-    *,
-    budget: int | None = DEFAULT_ENUM_BUDGET,
-) -> Iterator[Subspace]:
+def enumerate_subspaces(field: FieldCtx, ambient_dim: int, dim: int) -> Iterator[Subspace]:
     """All dim dimensional subspaces of F_q^ambient_dim in a fixed order.
 
     Pivot column sets run in lexicographic order; for each pivot set the
@@ -374,11 +368,6 @@ def enumerate_subspaces(
     _require_tables(field)
     if not 0 <= dim <= ambient_dim:
         raise ValueError("dim out of range")
-    total = gaussian_binomial(ambient_dim, dim, field.q)
-    if budget is not None and total > budget:
-        raise BudgetExceededError(
-            f"{total} subspaces exceed the budget of {budget}"
-        )
     q = field.q
     d = ambient_dim
     for pivots, base, free in _pivot_sets(q, d, dim)[1]:
@@ -455,7 +444,7 @@ def all_subspaces(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[Subspace
         raise BudgetExceededError(
             f"{total} subspaces exceed the cache limit of {_CACHE_LIMIT}"
         )
-    return tuple(enumerate_subspaces(field, ambient_dim, dim, budget=None))
+    return tuple(enumerate_subspaces(field, ambient_dim, dim))
 
 
 def incidence_blocks(

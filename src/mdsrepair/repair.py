@@ -40,6 +40,7 @@ from .linalg import (
 log = logging.getLogger(__name__)
 
 _CHUNK = 1 << 15  # most candidates per streamed block of the scan
+_RETRY_CAP = 10_000  # most attempts of random_mds_code
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -117,28 +118,6 @@ class RepairReport:
         return all(nd.attains_io_bound for nd in self.nodes)
 
 
-def repair_matrix_from_subspace(w: Subspace, hi: Subspace) -> MatrixGF:
-    """The canonical matrix M with ker M = w: a reduced basis of the annihilator.
-
-    hi is the failed node's subspace; w must be a complement of it, which
-    is exactly the condition making M H_i invertible.
-    """
-    if w.field != hi.field or w.ambient_dim != hi.ambient_dim:
-        raise ValueError("repair subspace and node subspace live in different spaces")
-    if w.dim + hi.dim != w.ambient_dim:
-        raise ValueError("repair subspace must have dimension (r-1)*ell")
-    if intersect_dim(w, hi) != 0:
-        raise ValueError("repair subspace meets the failed node's subspace")
-    return _annihilator(w)
-
-
-def _annihilator(w: Subspace) -> MatrixGF:
-    """The reduced basis of the annihilator of w, as rows: the matrix whose kernel is w."""
-    if w.dim == 0:
-        return MatrixGF.identity(w.field, w.ambient_dim)
-    return kernel(w.basis_matrix).basis_matrix
-
-
 def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
     """Per node intersection dimensions and captured column point counts.
 
@@ -153,67 +132,57 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
     return dims, zs
 
 
-# per W: the (j, dim(W meet H_j)) and (j, z_j) pairs over all n nodes, the
-# bandwidth and I/O totals over all n, and the repair matrix
-_Profile = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int, int, MatrixGF]
+def make_witnesses(
+    code: ArrayCode, repairs: Iterable[tuple[int, Subspace]]
+) -> tuple[RepairWitness, ...]:
+    """The witness of each (node, W) pair, the node repaired through W.
 
-
-def _witness(
-    code: ArrayCode, node: int, w: Subspace, profiles: dict[Subspace, _Profile]
-) -> RepairWitness:
-    """make_witness, with w's profile taken from profiles or added to it.
-
-    The profile and the repair matrix depend on the code and w alone, so
-    the nodes sharing a repair subspace share one run of the rank oracle
-    and one assembly of its pairs and totals; each node slices itself out.
-    profiles must hold entries of this code only.
+    Each W must be a complement of H_node in the code's space; its repair
+    matrix is the reduced basis of its annihilator, the matrix whose
+    kernel is W.  The profile and the matrix depend on the code and W
+    alone, so each distinct W runs the rank oracle and reduces its
+    annihilator once, and every node repaired through it slices its own
+    witness out.
     """
-    if w.ambient_dim != code.ambient_dim or w.field != code.field:
-        raise ValueError("repair subspace does not match the code")
-    if w.dim != (code.r - 1) * code.ell:
-        raise ValueError("repair subspace must have dimension (r-1)*ell")
     ell = code.ell
-    if w not in profiles:
-        dims, zs = _rank_profile(code, w)
-        profiles[w] = (
-            tuple(enumerate(dims)),
-            tuple(enumerate(zs)),
-            sum(ell - x for x in dims),
-            sum(ell - z for z in zs),
-            _annihilator(w),
+    # per W: the (j, dim(W meet H_j)) and (j, z_j) pairs over all n nodes,
+    # the bandwidth and I/O totals over all n, and the repair matrix
+    profiles: dict[Subspace, tuple] = {}
+    witnesses = []
+    for node, w in repairs:
+        if w.ambient_dim != code.ambient_dim or w.field != code.field:
+            raise ValueError("repair subspace does not match the code")
+        if w.dim != (code.r - 1) * ell:
+            raise ValueError("repair subspace must have dimension (r-1)*ell")
+        if w not in profiles:
+            dims, zs = _rank_profile(code, w)
+            profiles[w] = (
+                tuple(enumerate(dims)),
+                tuple(enumerate(zs)),
+                sum(ell - x for x in dims),
+                sum(ell - z for z in zs),
+                kernel(w.basis_matrix).basis_matrix,
+            )
+        dim_pairs, z_pairs, bw_all, io_all, matrix = profiles[w]
+        if dim_pairs[node][1] != 0:
+            raise ValueError("repair subspace meets the failed node's subspace")
+        witnesses.append(
+            RepairWitness(
+                node=node,
+                space=w,
+                matrix=matrix,
+                helper_dims=dim_pairs[:node] + dim_pairs[node + 1 :],
+                helper_points=z_pairs[:node] + z_pairs[node + 1 :],
+                bw=bw_all - ell,
+                io=io_all - (ell - z_pairs[node][1]),
+            )
         )
-    dim_pairs, z_pairs, bw_all, io_all, matrix = profiles[w]
-    if dim_pairs[node][1] != 0:
-        raise ValueError("repair subspace meets the failed node's subspace")
-    return RepairWitness(
-        node=node,
-        space=w,
-        matrix=matrix,
-        helper_dims=dim_pairs[:node] + dim_pairs[node + 1 :],
-        helper_points=z_pairs[:node] + z_pairs[node + 1 :],
-        bw=bw_all - ell,
-        io=io_all - (ell - z_pairs[node][1]),
-    )
+    return tuple(witnesses)
 
 
 def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
     """Wrap the repair subspace w as a witness for the given node."""
-    return _witness(code, node, w, {})
-
-
-def _checked_witness(
-    code: ArrayCode,
-    node: int,
-    w: Subspace,
-    cost: str,
-    saving: int,
-    profiles: dict[Subspace, _Profile],
-) -> RepairWitness:
-    """A witness from the rank oracle, asserting that its cost matches the scan's saving."""
-    wit = _witness(code, node, w, profiles)
-    if getattr(wit, cost) != code.ell * (code.n - 1) - saving:
-        raise AssertionError(f"node {node}: the mask scan and the rank oracle disagree on {cost}")
-    return wit
+    return make_witnesses(code, [(node, w)])[0]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -402,8 +371,6 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     bound = counting_bound(code.n, code.r, code.ell, q)
     best_dim, best_pts, total, scanned, anomalies = _scan(code, budget)
     exhaustive = scanned == total
-    profiles: dict[Subspace, _Profile] = {}  # one rank-oracle run per distinct W
-    summaries = []
     for i in range(code.n):
         if i not in best_dim:
             if not exhaustive:
@@ -412,16 +379,25 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                     f"of {total} candidates"
                 )
             raise AssertionError("no feasible repair subspace found")
-        alpha, wa = best_dim[i]
-        lam, wl = best_pts[i]
+    # alpha and lambda witnesses alternate; one rank-oracle run per distinct W
+    wits = make_witnesses(
+        code, [(i, best[i][1]) for i in range(code.n) for best in (best_dim, best_pts)]
+    )
+    summaries = []
+    for i, wit_a, wit_l in zip(range(code.n), wits[::2], wits[1::2]):
+        alpha = best_dim[i][0]
+        lam = best_pts[i][0]
         if lam > alpha:
             raise AssertionError(
                 f"node {i}: captured points {lam} exceed intersection total {alpha}"
             )
-        wit_a = _checked_witness(code, i, wa, "bw", alpha, profiles)
-        wit_l = _checked_witness(code, i, wl, "io", lam, profiles)
         beta = code.ell * (code.n - 1) - alpha
         gamma = code.ell * (code.n - 1) - lam
+        for cost, got, want in (("bw", wit_a.bw, beta), ("io", wit_l.io, gamma)):
+            if got != want:
+                raise AssertionError(
+                    f"node {i}: the mask scan and the rank oracle disagree on {cost}"
+                )
         if exhaustive:
             if alpha > cap:
                 raise AssertionError(
@@ -475,15 +451,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     )
 
 
-def random_mds_code(
-    field: FieldCtx,
-    r: int,
-    ell: int,
-    n: int,
-    rng: random.Random,
-    *,
-    retry_cap: int = 10_000,
-) -> ArrayCode:
+def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Random) -> ArrayCode:
     """Sample an (n, n-r, ell) MDS array code over the given field.
 
     Walks the candidate subspaces in a random order, keeping each one that
@@ -504,7 +472,7 @@ def random_mds_code(
         raise ValueError("need n >= r")
     pool = all_subspaces(field, r * ell, ell)
     span_dim = (r - 1) * ell
-    for _ in range(retry_cap):
+    for _ in range(_RETRY_CAP):
         order = list(range(len(pool)))
         rng.shuffle(order)
         family: list[Subspace] = []
@@ -533,7 +501,7 @@ def random_mds_code(
             return code
     raise SamplingExhaustedError(
         f"no MDS code found for q={field.q}, r={r}, ell={ell}, n={n} "
-        f"after {retry_cap} attempts"
+        f"after {_RETRY_CAP} attempts"
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mdsrepair import cli, geometry, repair
+from mdsrepair import cli, geometry, gf, repair
 from mdsrepair.cli import run
 from mdsrepair.code import MdsCheck, code_from_intrinsic, deserialize, serialize
 from mdsrepair.constructions import build_two_parity_code
@@ -329,6 +329,38 @@ def test_spread_check_over_the_pair_budget_is_exit_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "mdsrepair: error: 136 member pairs exceed the budget of 135\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spread-check", "--q", "256", "--ell", "2"],
+         "2147516416 member pairs exceed the budget of 10000000"),
+        (["spread-check", "--q", "16", "--ell", "4"],
+         "2147516416 member pairs exceed the budget of 10000000"),
+        (["spread-check", "--q", "3", "--ell", "0"], "ell = 0 must be positive"),
+        (["spread-check", "--q", "2", "--ell", "17"], "field size 2^17 exceeds cap 65536"),
+        (["spread-check", "--q", "3", "--ell", str(10**9)],
+         "field size 3^1000000000 exceeds cap 65536"),
+        (["regular", "--q", "256"], "4311875841 lines exceed the budget of 10000000"),
+        (["regular", "--q", "128"], "270565505 lines exceed the budget of 10000000"),
+        (["regular", "--q", "257"], "field size 257^2 exceeds cap 65536"),
+        (["regular", "--q", "6"], "q = 6 is not a prime power"),
+    ],
+)
+def test_oversized_geometry_requests_are_refused_before_any_build(
+    capsys, monkeypatch, argv, message
+):
+    def refuse(*args):
+        raise AssertionError("a field or spread was built before the refusal")
+
+    for module in (gf, geometry, cli):
+        monkeypatch.setattr(module, "make_extension", refuse, raising=False)
+        monkeypatch.setattr(module, "desarguesian_spread", refuse, raising=False)
+    code, out, err = _run(capsys, ["geometry", *argv])
+    assert code == 1
+    assert out == ""
+    assert err == f"mdsrepair: error: {message}\n"
 
 
 def _cli_under_400_mb(argv):

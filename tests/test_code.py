@@ -193,11 +193,12 @@ def test_random_mds_code_across_parameters():
         assert is_mds(code).ok
 
 
-def test_random_mds_code_exhaustion():
+def test_random_mds_code_exhaustion(monkeypatch):
     field = field_of_order(2)
-    with pytest.raises(SamplingExhaustedError):
+    monkeypatch.setattr(repair, "_RETRY_CAP", 3)
+    with pytest.raises(SamplingExhaustedError, match="after 3 attempts"):
         # n beyond the length bound can never be reached
-        random_mds_code(field, 2, 2, 6, random.Random(0), retry_cap=3)
+        random_mds_code(field, 2, 2, 6, random.Random(0))
 
 
 def _rank_walk_mds_code(field, r, ell, n, rng, retry_cap):
@@ -266,6 +267,7 @@ def test_random_mds_code_matches_rank_walk(monkeypatch):
     exhausted = sampled = 0
     for q, ell, r, lengths, cap in _SAMPLER_GRID:
         field = field_of_order(q)
+        monkeypatch.setattr(repair, "_RETRY_CAP", cap)
         for n in lengths:
             for seed in range(5):
                 tag = (q, ell, r, n, seed)
@@ -274,7 +276,7 @@ def test_random_mds_code_matches_rank_walk(monkeypatch):
                 dependent_by_r[r] += dependent
                 verdicts.clear()
                 try:
-                    got = random_mds_code(field, r, ell, n, rng, retry_cap=cap)
+                    got = random_mds_code(field, r, ell, n, rng)
                 except SamplingExhaustedError:
                     got = None
                 if ref is None:

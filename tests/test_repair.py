@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -31,9 +32,9 @@ from mdsrepair.repair import (
     _scan,
     counting_bound,
     make_witness,
+    make_witnesses,
     optimal_alpha,
     random_mds_code,
-    repair_matrix_from_subspace,
     repair_report,
     verify_bound_sweep,
     verify_strictness_sweep,
@@ -76,7 +77,7 @@ def test_repair_matrix_annihilates_exactly_w():
     rng = random.Random(30)
     spaces = _feasible_spaces(code, node)
     for w in rng.sample(spaces, 8):
-        m = repair_matrix_from_subspace(w, hi)
+        m = make_witness(code, node, w).matrix
         assert (m.rows, m.cols) == (code.ell, code.ambient_dim)
         assert kernel(m) == w
         for row in w.basis_rows():
@@ -87,11 +88,14 @@ def test_repair_matrix_annihilates_exactly_w():
 def test_repair_matrix_rejections():
     code = _spread_code(3, 6)
     hi = code.node_subspaces[0]
-    with pytest.raises(ValueError):
-        repair_matrix_from_subspace(hi, hi)  # meets the node subspace
+    with pytest.raises(ValueError, match="meets the failed node's subspace"):
+        make_witness(code, 0, hi)
     short = all_subspaces(code.field, 4, 1)[0]
-    with pytest.raises(ValueError):
-        repair_matrix_from_subspace(short, hi)  # wrong dimension
+    with pytest.raises(ValueError, match="must have dimension"):
+        make_witness(code, 0, short)
+    for other in (all_subspaces(code.field, 6, 2)[0], all_subspaces(field_of_order(2), 4, 2)[0]):
+        with pytest.raises(ValueError, match="does not match the code"):
+            make_witness(code, 0, other)  # another ambient space or field
 
 
 def test_witness_profile_totals():
@@ -135,7 +139,7 @@ def test_scheme_costs_reject_singular_repair():
     _, wit = optimal_alpha(code, 1)
     cw = sample_codeword(code, 0)
     h1 = code.node_subspaces[1]
-    m = repair_matrix_from_subspace(h1, code.node_subspaces[0])  # ker M = H_1, so M H_1 = 0
+    m = make_witness(code, 0, h1).matrix  # ker M = H_1, so M H_1 = 0
     with pytest.raises(ValueError):
         erase_and_repair(code, cw, 1, dataclasses.replace(wit, matrix=m))
     with pytest.raises(ValueError):
@@ -180,7 +184,7 @@ def _reference_scan(code, budget):
     total = gaussian_binomial(code.ambient_dim, wdim, code.field.q)
     best_dim, best_pts, anomalies = {}, {}, []
     scanned = 0
-    for w in enumerate_subspaces(code.field, code.ambient_dim, wdim, budget=None):
+    for w in enumerate_subspaces(code.field, code.ambient_dim, wdim):
         if scanned == budget:
             break
         scanned += 1
@@ -378,6 +382,62 @@ def test_rank_oracle_runs_once_per_distinct_repair_subspace(monkeypatch):
         spaces = [w.space for nd in rep.nodes for w in (nd.alpha_witness, nd.lambda_witness)]
         assert sorted(calls) == sorted(set(spaces))
         assert len(calls) < len(spaces) == 2 * code.n
+
+
+def test_make_witnesses_profiles_each_distinct_subspace_once(monkeypatch):
+    # one call on every (node, W) pair of a report, each pair twice, equals
+    # the per-pair make_witness field by field and runs the oracle once per W
+    calls = []
+
+    def counting(code, w):
+        calls.append(w)
+        return _rank_profile(code, w)
+
+    for code in _witness_mix():
+        rep = repair_report(code)
+        pairs = [(nd.node, w.space) for nd in rep.nodes for w in (nd.alpha_witness, nd.lambda_witness)]
+        pairs += pairs[::-1]
+        want = [make_witness(code, i, w) for i, w in pairs]
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(repair, "_rank_profile", counting)
+            got = make_witnesses(code, pairs)
+        assert sorted(calls) == sorted({w for _, w in pairs})
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for f in dataclasses.fields(RepairWitness):
+                assert getattr(g, f.name) == getattr(w, f.name), f.name
+
+
+def _oracle_one_lower(index):
+    """_rank_profile with its first positive dimension (index 0) or captured count (1) less one."""
+
+    def profile(code, w):
+        pair = _rank_profile(code, w)
+        values = pair[index]
+        positive = [j for j, x in enumerate(values) if x]
+        if positive:
+            values[positive[0]] -= 1
+        return pair
+
+    return profile
+
+
+@pytest.mark.parametrize("index, cost", [(0, "bw"), (1, "io")])
+def test_oracle_disagreement_is_a_verification_failure(index, cost, monkeypatch, capsys, tmp_path):
+    # every witness's oracle cost is one above the scan's: the report's
+    # cross-check fires, and the CLI exits 2 without a traceback
+    code = _spread_code(3, 6)
+    path = tmp_path / "code.json"
+    path.write_text(serialize(code))
+    monkeypatch.setattr(repair, "_rank_profile", _oracle_one_lower(index))
+    message = f"the mask scan and the rank oracle disagree on {cost}"
+    with pytest.raises(AssertionError, match=rf"^node \d+: {message}$"):
+        repair_report(code)
+    assert cli.run(["repair", "analyze", "--code", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"mdsrepair: verification failed: node \d+: {message}\n", err)
 
 
 def _collinear_columns_code(nodes):
