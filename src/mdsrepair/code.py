@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
+from ._kernel import rre_rank
 from .gf import FieldCtx, make_field
 from .linalg import MatrixGF, Subspace, kernel, proj_point, rank
 
@@ -37,11 +39,19 @@ class ArrayCode:
     def ambient_dim(self) -> int:
         return self.r * self.ell
 
+    @cached_property
+    def parity_rows(self) -> tuple[bytes, ...]:
+        """The rows of the parity matrix, packed, built once per code."""
+        ell = self.ell
+        return tuple(
+            b"".join([b.packed[t * ell : (t + 1) * ell] for b in self.blocks])
+            for t in range(self.ambient_dim)
+        )
+
     def parity_matrix(self) -> MatrixGF:
-        out = self.blocks[0]
-        for b in self.blocks[1:]:
-            out = out.hstack(b)
-        return out
+        return MatrixGF(
+            self.field, self.ambient_dim, self.n * self.ell, tuple(b"".join(self.parity_rows))
+        )
 
     def __repr__(self) -> str:
         return f"ArrayCode(n={self.n}, k={self.k}, ell={self.ell}, {self.field!r})"
@@ -182,8 +192,11 @@ def is_mds(code: ArrayCode) -> MdsCheck:
     """Check that every r-subset of blocks forms an invertible square matrix.
 
     Runs both the matrix rank form and the subspace direct sum form on each
-    subset and insists they agree.  More than MDS_CAP subsets are not
-    checked: the status is then "cap_exceeded".
+    subset and insists they agree.  Each block's columns, taken as rows
+    (rank H_S = rank of its transpose), and each node subspace's reduced
+    basis are packed once per code; a subset joins the bytes of its
+    members and ranks each form with one rre_rank call.  More than MDS_CAP
+    subsets are not checked: the status is then "cap_exceeded".
     """
     r = code.r
     total = 1
@@ -191,18 +204,21 @@ def is_mds(code: ArrayCode) -> MdsCheck:
         total = total * (code.n - i) // (i + 1)
     if total > MDS_CAP:
         return MdsCheck("cap_exceeded", 0)
+    f = code.field
+    tables = (f.q, f.sub_tab, f.mul_tab, f.inv_tab)
     ambient = code.ambient_dim
+    rows = r * code.ell
+    columns = bytes(itertools.chain.from_iterable(zip(*code.parity_rows)))
+    size = code.ell * ambient
+    block_rows = [columns[j * size : (j + 1) * size] for j in range(code.n)]
+    basis_rows = [s.packed for s in code.node_subspaces]
     checked = 0
     for subset in itertools.combinations(range(code.n), r):
         checked += 1
-        square = code.blocks[subset[0]]
-        for i in subset[1:]:
-            square = square.hstack(code.blocks[i])
-        invertible = rank(square) == ambient
-        rows: list[tuple[int, ...]] = []
-        for i in subset:
-            rows.extend(code.node_subspaces[i].basis_rows())
-        direct = Subspace.from_rows(code.field, ambient, rows).dim == ambient
+        square = bytearray(b"".join([block_rows[i] for i in subset]))
+        invertible = rre_rank(square, rows, ambient, *tables) == ambient
+        stacked = bytearray(b"".join([basis_rows[i] for i in subset]))
+        direct = rre_rank(stacked, rows, ambient, *tables) == ambient
         if invertible != direct:
             raise AssertionError("matrix and subspace MDS forms disagree")
         if not invertible:

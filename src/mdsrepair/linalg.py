@@ -194,14 +194,7 @@ class Subspace:
                 raise ValueError("row length does not match ambient dimension")
             flat.extend(field.check(x) for x in row)
             count += 1
-        buf = bytearray(flat)
-        r = rref_rank(buf, count, ambient_dim, *_tables(field))
-        entries = tuple(buf[: r * ambient_dim])
-        pivots = tuple(
-            next(j for j in range(ambient_dim) if entries[i * ambient_dim + j])
-            for i in range(r)
-        )
-        return cls(field, ambient_dim, r, entries, pivots)
+        return _span(field, ambient_dim, bytearray(flat), count)
 
     @classmethod
     def from_matrix_columns(cls, mat: MatrixGF) -> Subspace:
@@ -269,25 +262,37 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F_{self.field.q}^{self.ambient_dim})"
 
 
+def _span(field: FieldCtx, ambient_dim: int, buf: bytearray, count: int) -> Subspace:
+    """The span of the count rows in buf, entries already field codes; buf is consumed."""
+    d = ambient_dim
+    r = rref_rank(buf, count, d, *_tables(field))
+    entries = tuple(buf[: r * d])
+    pivots = tuple(next(j for j in range(d) if entries[i * d + j]) for i in range(r))
+    return Subspace(field, d, r, entries, pivots)
+
+
 def kernel(mat: MatrixGF) -> Subspace:
-    """Right null space of mat as a subspace of F_q^cols."""
-    red, r = rref(mat)
+    """Right null space of mat as a subspace of F_q^cols.
+
+    One basis vector per free column of the reduced mat, 1 there and the
+    negated column at the pivots; their span is reduced once more.
+    """
     f = mat.field
     d = mat.cols
-    pivots = [next(j for j in range(d) if red.entry(i, j)) for i in range(r)]
-    pivot_set = set(pivots)
-    rows = []
+    red = bytearray(mat.packed)
+    r = rref_rank(red, mat.rows, d, *_tables(f))
+    pivots = [next(j for j in range(d) if red[i * d + j]) for i in range(r)]
+    neg = f.sub_tab  # neg[x] = 0 - x
+    rows = bytearray()
     for free in range(d):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        v = [0] * d
+        v = bytearray(d)
         v[free] = 1
         for i, p in enumerate(pivots):
-            v[p] = f.neg(red.entry(i, free))
-        rows.append(v)
-    if not rows:
-        return Subspace.zero(f, d)
-    return Subspace.from_rows(f, d, rows)
+            v[p] = neg[red[i * d + free]]
+        rows += v
+    return _span(f, d, rows, d - r)
 
 
 def inverse(mat: MatrixGF) -> MatrixGF:

@@ -14,10 +14,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
+from ._kernel import rre_rank
 from .code import ArrayCode, code_from_intrinsic, is_mds
 from .gf import FieldCtx
 from .linalg import (
@@ -28,7 +29,6 @@ from .linalg import (
     all_subspaces,
     gaussian_binomial,
     incidence_blocks,
-    intersect_dim,
     kernel,
     points_mask,
     projective_point_count,
@@ -118,18 +118,54 @@ class RepairReport:
         return all(nd.attains_io_bound for nd in self.nodes)
 
 
-def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int]]:
-    """Per node intersection dimensions and captured column point counts.
+def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], MatrixGF]:
+    """Per node intersection dimensions, captured column point counts, and W's repair matrix.
 
-    The oracle for the mask scan: dimensions come from row reduction and
-    captured points from membership tests of each column point.
+    The oracle for the mask scan, read through the repair matrix M, the
+    reduced basis of the annihilator of W, so that ker M = W.  For a basis
+    B_j of H_j, here the block's columns, dim(W meet H_j) = ell - rank(M B_j),
+    one rre_rank call on the ell x ell image; a column point p lies in W
+    exactly when M p = 0.  The images come column by column out of M X, X
+    the parity matrix H or the matrix of all column points, computed row
+    by row as sums of X's rows scaled by M's entries.  Where the column
+    points are the blocks' columns, as in every code the constructors
+    build, X = H serves both.  No point mask or incidence is read, and M is
+    the matrix the witness hands to the simulator.
     """
-    dims = [intersect_dim(w, h) for h in code.node_subspaces]
-    zs = [
-        sum(w.contains_vector(p) for p in plist)
-        for plist in code.column_points
+    f = code.field
+    q = f.q
+    add, mul = f.add_tab, f.mul_tab
+    ell = code.ell
+    matrix = kernel(w.basis_matrix).basis_matrix  # ell x (r*ell), as W has dimension (r-1)*ell
+
+    def images(rows: Sequence[bytes]) -> list[tuple[int, ...]]:
+        """The columns of M X, X given by its packed rows."""
+        out = []
+        for i in range(ell):
+            acc = None
+            for t, c in enumerate(matrix.row(i)):
+                if c:
+                    scaled = rows[t].translate(mul[c * q : (c + 1) * q] + bytes(256 - q))
+                    if acc is None:
+                        acc = scaled
+                    else:
+                        acc = bytes([add[a * q + b] for a, b in zip(acc, scaled)])
+            out.append(acc)
+        return list(zip(*out))
+
+    block_images = images(code.parity_rows)
+    point_rows = tuple(bytes(r) for r in zip(*chain.from_iterable(code.column_points)))
+    point_images = block_images if point_rows == code.parity_rows else images(point_rows)
+    flat = bytes(chain.from_iterable(block_images))  # (M B_j)^T at [j*size, (j+1)*size)
+    size = ell * ell
+    tables = (q, f.sub_tab, mul, f.inv_tab)
+    dims = [
+        ell - rre_rank(bytearray(flat[j * size : (j + 1) * size]), ell, ell, *tables)
+        for j in range(code.n)
     ]
-    return dims, zs
+    live = bytes(map(any, point_images))  # 0 exactly at the column points in W
+    zs = [live[j * ell : (j + 1) * ell].count(0) for j in range(code.n)]
+    return dims, zs, matrix
 
 
 def make_witnesses(
@@ -140,9 +176,9 @@ def make_witnesses(
     Each W must be a complement of H_node in the code's space; its repair
     matrix is the reduced basis of its annihilator, the matrix whose
     kernel is W.  The profile and the matrix depend on the code and W
-    alone, so each distinct W runs the rank oracle and reduces its
-    annihilator once, and every node repaired through it slices its own
-    witness out.
+    alone, so each distinct W runs the rank oracle once, which reduces the
+    matrix and profiles every node through it, and every node repaired
+    through W slices its own witness out.
     """
     ell = code.ell
     # per W: the (j, dim(W meet H_j)) and (j, z_j) pairs over all n nodes,
@@ -155,13 +191,13 @@ def make_witnesses(
         if w.dim != (code.r - 1) * ell:
             raise ValueError("repair subspace must have dimension (r-1)*ell")
         if w not in profiles:
-            dims, zs = _rank_profile(code, w)
+            dims, zs, matrix = _rank_profile(code, w)
             profiles[w] = (
                 tuple(enumerate(dims)),
                 tuple(enumerate(zs)),
                 sum(ell - x for x in dims),
                 sum(ell - z for z in zs),
-                kernel(w.basis_matrix).basis_matrix,
+                matrix,
             )
         dim_pairs, z_pairs, bw_all, io_all, matrix = profiles[w]
         if dim_pairs[node][1] != 0:

@@ -65,19 +65,18 @@ def sample_codeword(code: ArrayCode, seed: int) -> CodewordArr:
     return cw
 
 
-def erase_and_repair(
-    code: ArrayCode, cw: CodewordArr, node: int, witness: RepairWitness
-) -> RepairTrace:
-    """Rebuild block `node` of cw through the witness's repair matrix.
+@lru_cache(maxsize=1)
+def _repair_plan(
+    code: ArrayCode, witness: RepairWitness
+) -> tuple[tuple[tuple[int, MatrixGF, tuple[int, ...], int], ...], MatrixGF]:
+    """Per helper (j, M H_j, its live columns, rank(M H_j)), and (M H_i)^-1.
 
-    The matrix must have the witness's space W as its kernel.  Each
-    helper's measured download rank(M H_j) and reads (nonzero columns of
-    M H_j) are asserted to equal ell - dim(W meet H_j) and ell minus the
-    captured column points, as recorded in the witness's profile.
+    Nothing here depends on the codeword, so the checks run once per
+    witness, the one used last being kept: the matrix's kernel is the
+    witness's space, M H_i is invertible, and each helper's measured
+    download and reads equal the witness's profile.
     """
-    if witness.node != node:
-        raise ValueError("witness was built for a different node")
-    field = code.field
+    node = witness.node
     ell = code.ell
     m = witness.matrix
     if kernel(m) != witness.space:
@@ -89,18 +88,41 @@ def erase_and_repair(
         j: (ell - d, ell - z)
         for (j, d), (_, z) in zip(witness.helper_dims, witness.helper_points)
     }
-    downloaded = []
-    accessed = []
-    transmitted = []
-    acc = [0] * ell
+    helpers = []
     for j in range(code.n):
         if j == node:
             continue
         prod = m.mul(code.blocks[j])
-        live = [t for t in range(ell) if any(prod.col(t))]
+        live = tuple(t for t in range(ell) if any(prod.col(t)))
         down = rank(prod)
         if expected.get(j) != (down, len(live)):
             raise AssertionError(f"helper {j}: simulated cost differs from the witness profile")
+        helpers.append((j, prod, live, down))
+    return tuple(helpers), inverse(mhi)
+
+
+def erase_and_repair(
+    code: ArrayCode, cw: CodewordArr, node: int, witness: RepairWitness
+) -> RepairTrace:
+    """Rebuild block `node` of cw through the witness's repair matrix.
+
+    The matrix must have the witness's space W as its kernel.  Each
+    helper's measured download rank(M H_j) and reads (nonzero columns of
+    M H_j) are asserted to equal ell - dim(W meet H_j) and ell minus the
+    captured column points, as recorded in the witness's profile.  Those
+    checks and the products depend on the witness alone and run once per
+    witness in _repair_plan; a trial masks, multiplies and sums.
+    """
+    if witness.node != node:
+        raise ValueError("witness was built for a different node")
+    field = code.field
+    ell = code.ell
+    helpers, mhi_inv = _repair_plan(code, witness)
+    downloaded = []
+    accessed = []
+    transmitted = []
+    acc = [0] * ell
+    for j, prod, live, down in helpers:
         masked = tuple(cw.blocks[j][t] if t in live else 0 for t in range(ell))
         y = prod.mul_vec(masked)
         acc = [field.add(a, v) for a, v in zip(acc, y)]
@@ -108,7 +130,7 @@ def erase_and_repair(
         accessed.append((j, len(live)))
         transmitted.append((j, y))
     rhs = tuple(field.neg(a) for a in acc)
-    recovered = inverse(mhi).mul_vec(rhs)
+    recovered = mhi_inv.mul_vec(rhs)
     return RepairTrace(
         node=node,
         downloaded=tuple(downloaded),

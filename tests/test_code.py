@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,6 +7,8 @@ import pytest
 
 from mdsrepair import repair
 from mdsrepair.code import (
+    MDS_CAP,
+    MdsCheck,
     code_from_blocks,
     code_from_intrinsic,
     codeword_space,
@@ -14,6 +17,7 @@ from mdsrepair.code import (
     length_bound,
     serialize,
 )
+from mdsrepair.constructions import build_exceptional
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import MatrixGF, Subspace, all_subspaces, proj_point, rank
@@ -93,7 +97,7 @@ def test_is_mds_spread_code():
     assert chk.failing_subset is None
 
 
-def test_is_mds_detects_overlap():
+def _overlap_code():
     field = field_of_order(2)
     # the first two subspaces share the point (1, 0, 0, 0); two complementary
     # spread members keep the family spanning
@@ -101,12 +105,82 @@ def test_is_mds_detects_overlap():
     b = Subspace.from_rows(field, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])
     spread = desarguesian_spread(2, 2)
     tail = tuple(m for m in spread.members if m not in (a, b))[:2]
-    code = code_from_intrinsic((a, b) + tail)
+    return code_from_intrinsic((a, b) + tail)
+
+
+def test_is_mds_detects_overlap():
+    code = _overlap_code()
     chk = is_mds(code)
     assert not chk.ok
     assert chk.failing_subset == (0, 1)
     i, j = chk.failing_subset
     assert rank(code.blocks[i].hstack(code.blocks[j])) < 4
+
+
+def _reference_is_mds(code):
+    """is_mds one r-subset at a time, by hstacked blocks and validated subspaces."""
+    if math.comb(code.n, code.r) > MDS_CAP:
+        return MdsCheck("cap_exceeded", 0)
+    checked = 0
+    for subset in itertools.combinations(range(code.n), code.r):
+        checked += 1
+        square = code.blocks[subset[0]]
+        for i in subset[1:]:
+            square = square.hstack(code.blocks[i])
+        invertible = rank(square) == code.ambient_dim
+        rows = [row for i in subset for row in code.node_subspaces[i].basis_rows()]
+        direct = Subspace.from_rows(code.field, code.ambient_dim, rows).dim == code.ambient_dim
+        assert invertible == direct
+        if not invertible:
+            return MdsCheck("not_mds", checked, subset)
+    return MdsCheck("mds", checked)
+
+
+def _random_families(q, ell, r, count, rng):
+    """Codes on random families of ell-subspaces of GF(q)^(r*ell), most of them not MDS."""
+    field = field_of_order(q)
+    pool = all_subspaces(field, r * ell, ell)
+    codes = []
+    while len(codes) < count:
+        family = rng.sample(pool, rng.randrange(r, r + 5))
+        try:
+            codes.append(code_from_intrinsic(family))
+        except ValueError:  # the family does not span the parity space
+            continue
+    return codes
+
+
+def test_is_mds_matches_the_reference_check():
+    # the whole MdsCheck, status, subset count and failing subset, equals the
+    # hstack and from_rows formulation on MDS codes, on overlapping nodes
+    # and on random families over GF(2) and GF(3)
+    rng = random.Random(60)
+    codes = [_spread_code(3, 7), _spread_code(2, 5), build_exceptional("q4n9")[0], _overlap_code()]
+    codes += [random_mds_code(field_of_order(q), r, ell, n, rng)
+              for q, ell, r, n in ((2, 2, 2, 5), (3, 2, 2, 8), (2, 2, 3, 6), (2, 3, 2, 6))]
+    for q, ell, r in ((2, 2, 2), (3, 2, 2), (2, 2, 3), (3, 1, 3)):
+        codes += _random_families(q, ell, r, 15, rng)
+    statuses = set()
+    for code in codes:
+        chk = is_mds(code)
+        assert chk == _reference_is_mds(code)
+        statuses.add(chk.status)
+    assert statuses == {"mds", "not_mds"}
+
+
+def test_is_mds_raises_when_blocks_and_subspaces_disagree():
+    # node 1's subspace replaced by node 0's: only the subspace form fails on
+    # (0, 1); node 1's block replaced by node 0's: only the matrix form does
+    code = _spread_code(3, 5)
+    assert is_mds(code).ok
+    subs = (code.node_subspaces[0], code.node_subspaces[0]) + code.node_subspaces[2:]
+    blocks = (code.blocks[0], code.blocks[0]) + code.blocks[2:]
+    for bad in (
+        dataclasses.replace(code, node_subspaces=subs),
+        dataclasses.replace(code, blocks=blocks),
+    ):
+        with pytest.raises(AssertionError, match="^matrix and subspace MDS forms disagree$"):
+            is_mds(bad)
 
 
 def test_length_bound_values():

@@ -10,12 +10,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mdsrepair import cli, linalg, repair
-from mdsrepair.code import code_from_intrinsic, serialize
+from mdsrepair.code import code_from_blocks, code_from_intrinsic, serialize
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import (
     BudgetExceededError,
+    MatrixGF,
     Subspace,
     all_subspaces,
     enumerate_subspaces,
@@ -188,7 +189,7 @@ def _reference_scan(code, budget):
         if scanned == budget:
             break
         scanned += 1
-        dims, zs = _rank_profile(code, w)
+        dims, zs, _ = _rank_profile(code, w)
         for j in range(code.n):
             if zs[j] > dims[j]:
                 anomalies.append(
@@ -475,6 +476,86 @@ def test_scan_rejects_a_column_point_outside_its_node():
     points[0] = code.column_points[1]
     with pytest.raises(ValueError, match="column point outside its node subspace"):
         repair_report(dataclasses.replace(code, column_points=tuple(points)))
+
+
+def _reference_profile(code, w):
+    """The rank oracle by row reduction and membership tests.
+
+    dim(W meet H_j) from the rank of the stacked bases of W and H_j, and
+    z_j from a membership test of each column point in W.
+    """
+    dims = [intersect_dim(w, h) for h in code.node_subspaces]
+    zs = [sum(w.contains_vector(p) for p in plist) for plist in code.column_points]
+    return dims, zs
+
+
+def _explicit_points_codes():
+    """A spread code with non-basis column points, and its blocks scaled by 2.
+
+    The first code's blocks are its column points; the second has the same
+    column points, but its block columns are twice them.
+    """
+    f = field_of_order(3)
+    members = desarguesian_spread(3, 2).members[:6]
+    points = []
+    for mem in members:
+        a, b = mem.basis_rows()
+        points.append([proj_point(f, [f.add(x, y) for x, y in zip(a, b)]),
+                       proj_point(f, [f.sub(x, y) for x, y in zip(a, b)])])
+    explicit = code_from_intrinsic(members, column_points=points)
+    doubled = [tuple(f.mul(2, x) for x in b.entries) for b in explicit.blocks]
+    scaled = code_from_blocks(f, [MatrixGF(f, 4, 2, entries) for entries in doubled])
+    assert explicit.column_points != tuple(tuple(sorted(m.basis_rows())) for m in members)
+    assert scaled.column_points == explicit.column_points and scaled.blocks != explicit.blocks
+    return [explicit, scaled]
+
+
+def test_rank_profile_matches_the_reference_profile():
+    # candidate by candidate, the repair-matrix oracle gives the dimensions
+    # and captured counts of row reduction and membership, and its matrix is
+    # the reduced annihilator of W; the collinear and scaled codes image
+    # their column points apart from their blocks, and GF(17) takes field
+    # codes above 16
+    rng = random.Random(37)
+    codes = _differential_codes() + [_collinear_columns_code([1, 3])] + _explicit_points_codes()
+    codes += [random_mds_code(field_of_order(17), r, 1, 6, rng) for r in (2, 3)]
+    for code in codes:
+        wdim = (code.r - 1) * code.ell
+        captured = 0
+        for w in enumerate_subspaces(code.field, code.ambient_dim, wdim):
+            dims, zs, matrix = _rank_profile(code, w)
+            assert (dims, zs) == _reference_profile(code, w)
+            assert matrix == kernel(w.basis_matrix).basis_matrix
+            captured += sum(zs)
+        assert captured  # some candidate holds a column point
+
+
+def test_oracle_catches_a_wrong_repair_matrix(monkeypatch, capsys, tmp_path):
+    # node 0's alpha witness W is profiled through the annihilator of a
+    # spread member outside the code, which misses every node: the oracle
+    # finds no saving through it, the report's cross-check fires on node
+    # 0's bandwidth, and the CLI exits 2 without a traceback
+    code = _spread_code(3, 6)
+    path = tmp_path / "code.json"
+    path.write_text(serialize(code))
+    rep = repair_report(code)
+    w = rep.nodes[0].alpha_witness.space
+    other = next(m for m in desarguesian_spread(3, 2).members if m not in code.node_subspaces)
+    assert all(intersect_dim(other, h) == 0 for h in code.node_subspaces)
+    assert rep.nodes[0].alpha > 0
+    real = repair.kernel
+
+    def wrong(mat):
+        return real(other.basis_matrix if mat == w.basis_matrix else mat)
+
+    monkeypatch.setattr(repair, "kernel", wrong)
+    message = "node 0: the mask scan and the rank oracle disagree on bw"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        repair_report(code)
+    assert cli.run(["repair", "analyze", "--code", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"mdsrepair: verification failed: {message}\n"
 
 
 def test_budget_errors():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mdsrepair import sim
 from mdsrepair.code import code_from_intrinsic
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
@@ -120,3 +121,28 @@ def test_full_download_repair_baseline():
         trace = erase_and_repair(code, cw, node, wit)
         assert trace.match
         assert trace.total_downloaded <= code.ell * (code.n - 1)
+
+
+def test_witness_checks_run_once_per_witness(monkeypatch):
+    # the kernel, M H_i and per-helper checks depend on the witness alone:
+    # five trials through one witness reduce its matrix's kernel once, and a
+    # tampered witness still fails on every trial
+    code, wits, _ = build_two_parity_code(3, 2, 8)
+    calls = []
+    real = sim.kernel
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(sim, "kernel", counting)
+    sim._repair_plan.cache_clear()
+    traces = [erase_and_repair(code, sample_codeword(code, seed), 2, wits[2]) for seed in range(5)]
+    assert all(t.match for t in traces)
+    assert len(calls) == 1
+    (j, d), *rest = wits[2].helper_dims
+    tampered = dataclasses.replace(wits[2], helper_dims=((j, d + 1), *rest))
+    for seed in range(2):
+        with pytest.raises(AssertionError, match=f"helper {j}"):
+            erase_and_repair(code, sample_codeword(code, seed), 2, tampered)
+    assert len(calls) == 3
