@@ -168,8 +168,6 @@ def _print_report(report: RepairReport, fmt: str) -> None:
         )
     else:
         print("attainment flags unknown: search was not exhaustive")
-    for a in report.anomalies:
-        print(f"anomaly: {a}")
 
 
 def _parse_label(token: str):

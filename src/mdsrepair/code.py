@@ -4,7 +4,9 @@ A code with n nodes, r = n - k parities and sub packetization ell is held
 as n blocks H_i in F_q^(r*ell x ell), all of full column rank.  Each block
 is equivalently a node subspace (its column space) plus a list of ell
 projective column points, each the normalised tuple of linalg.proj_point;
-a block's columns are exactly its column points, in matching order.
+each column of a block is a nonzero multiple of its column point, in
+matching order.  ArrayCode checks this once, when the code is built, so
+the repair scan and its oracle read points and blocks interchangeably.
 """
 from __future__ import annotations
 
@@ -14,15 +16,25 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from ._kernel import rre_rank
+from ._kernel import rre_rank, rref_rank
 from .gf import FieldCtx, make_field
-from .linalg import MatrixGF, Subspace, kernel, proj_point, rank
+from .linalg import MatrixGF, Subspace, kernel, proj_point
 
 MDS_CAP = 10**6  # most r-subsets of blocks is_mds checks
 
 
 @dataclass(frozen=True)
 class ArrayCode:
+    """An (n, k, ell) array code: per node a block, its column space and its column points.
+
+    Every construction, replace included, checks the code once and refuses
+    an inconsistent one with ValueError.  Per node, the column points must
+    be ell normalised points spanning the node subspace, so a subspace W
+    holds at most dim(W meet H_j) of them; and each block column must be a
+    nonzero multiple of its point, so M kills the column exactly when M
+    kills the point.
+    """
+
     field: FieldCtx
     n: int
     k: int
@@ -30,6 +42,28 @@ class ArrayCode:
     blocks: tuple[MatrixGF, ...]
     node_subspaces: tuple[Subspace, ...]
     column_points: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self) -> None:
+        f, d, ell = self.field, self.ambient_dim, self.ell
+        tables = (f.q, f.sub_tab, f.mul_tab, f.inv_tab)
+        if not len(self.blocks) == len(self.node_subspaces) == len(self.column_points) == self.n:
+            raise ValueError("need one block, node subspace and point list per node")
+        for h, block, plist in zip(self.node_subspaces, self.blocks, self.column_points):
+            if len(plist) != ell or any(len(p) != d for p in plist):
+                raise ValueError("need ell column points per node")
+            span = bytearray(b"".join(map(bytes, plist)))  # reduced in place, as h is
+            if rref_rank(span, ell, d, *tables) < ell:
+                raise ValueError("column points must be independent")
+            if span != h.packed:
+                raise ValueError("column point outside its node subspace")
+            if any(next(filter(None, p)) != 1 for p in plist):
+                raise ValueError("column points must be normalised")
+            if block.field != f or (block.rows, block.cols) != (d, ell):
+                raise ValueError("blocks must share field and shape")
+            for t, p in enumerate(plist):
+                col = block.col(t)
+                if col != p and proj_point(f, col) != p:
+                    raise ValueError("block columns are not multiples of their column points")
 
     @property
     def r(self) -> int:
@@ -78,7 +112,7 @@ def _span_check(field: FieldCtx, subspaces: Sequence[Subspace], ambient: int) ->
 def _points_to_block(
     field: FieldCtx, ambient: int, points: Sequence[tuple[int, ...]]
 ) -> MatrixGF:
-    entries = tuple(p[i] for i in range(ambient) for p in points)
+    entries = tuple(itertools.chain.from_iterable(zip(*points)))  # short points fail the shape
     return MatrixGF(field, ambient, len(points), entries)
 
 
@@ -91,8 +125,8 @@ def code_from_intrinsic(
 
     Without explicit points, each block's columns are the reduced basis
     vectors of its subspace, ordered lexicographically.  Explicit points
-    are normalised by proj_point and must be ell distinct independent
-    points inside the node subspace.
+    are normalised by proj_point and must be ell points spanning the node
+    subspace; the block's columns are the points themselves.
     """
     if not subspaces:
         raise ValueError("need at least one node subspace")
@@ -114,24 +148,12 @@ def code_from_intrinsic(
             raise ValueError("node subspaces must share field, ambient and dimension")
     _span_check(field, subspaces, ambient)
 
-    points: list[tuple[tuple[int, ...], ...]] = []
     if column_points is None:
-        for s in subspaces:
-            points.append(tuple(sorted(s.basis_rows())))  # reduced rows are normalised
+        points = [tuple(sorted(s.basis_rows())) for s in subspaces]  # reduced rows are normalised
     else:
         if len(column_points) != n:
             raise ValueError("need one point list per node")
-        for s, given in zip(subspaces, column_points):
-            plist = tuple(proj_point(field, p) for p in given)
-            if len(plist) != ell or len(set(plist)) != ell:
-                raise ValueError("need ell distinct column points per node")
-            for p in plist:
-                if not s.contains_vector(p):
-                    raise ValueError("column point outside its node subspace")
-            block = _points_to_block(field, ambient, plist)
-            if rank(block) != ell:
-                raise ValueError("column points must be independent")
-            points.append(plist)
+        points = [tuple(proj_point(field, p) for p in given) for given in column_points]
 
     blocks = tuple(_points_to_block(field, ambient, plist) for plist in points)
     return ArrayCode(field, n, n - r, ell, blocks, tuple(subspaces), tuple(points))
@@ -140,8 +162,8 @@ def code_from_intrinsic(
 def code_from_blocks(field: FieldCtx, blocks: Sequence[MatrixGF]) -> ArrayCode:
     """Build a code from explicit parity blocks.
 
-    Column points are read off the blocks, so every column must be nonzero
-    and the block must have full column rank.
+    Column points are read off the blocks, so each block must have full
+    column rank.
     """
     if not blocks:
         raise ValueError("need at least one block")
@@ -154,9 +176,9 @@ def code_from_blocks(field: FieldCtx, blocks: Sequence[MatrixGF]) -> ArrayCode:
     for b in blocks:
         if b.field != field or b.rows != ambient or b.cols != ell:
             raise ValueError("blocks must share field and shape")
-        if rank(b) != ell:
-            raise ValueError("blocks must have full column rank")
         subspaces.append(Subspace.from_matrix_columns(b))
+        if subspaces[-1].dim != ell:
+            raise ValueError("blocks must have full column rank")
         points.append(tuple(proj_point(field, b.col(j)) for j in range(ell)))
     if ambient % ell:
         raise ValueError("ambient dimension must be a multiple of ell")
@@ -164,9 +186,6 @@ def code_from_blocks(field: FieldCtx, blocks: Sequence[MatrixGF]) -> ArrayCode:
     if r < 1 or len(blocks) < r:
         raise ValueError("need r >= 1 and at least r nodes")
     _span_check(field, subspaces, ambient)
-    for plist in points:
-        if len(set(plist)) != ell:
-            raise ValueError("column points within a block must be distinct")
     return ArrayCode(
         field, len(blocks), len(blocks) - r, ell, tuple(blocks), tuple(subspaces), tuple(points)
     )

@@ -59,10 +59,6 @@ class MatrixGF:
             flat.extend(field.check(x) for x in row)
         return cls(field, r, c, tuple(flat))
 
-    @classmethod
-    def identity(cls, field: FieldCtx, n: int) -> MatrixGF:
-        return cls(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -118,15 +114,6 @@ class MatrixGF:
         if self.field != other.field or self.cols != other.cols:
             raise ValueError("shape or field mismatch")
         return MatrixGF(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def hstack(self, other: MatrixGF) -> MatrixGF:
-        if self.field != other.field or self.rows != other.rows:
-            raise ValueError("shape or field mismatch")
-        flat = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return MatrixGF(self.field, self.rows, self.cols + other.cols, tuple(flat))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -240,9 +227,6 @@ class Subspace:
                 for j in range(p, d):
                     v[j] = sub[v[j] * q + mul[c * q + self.entries[base + j]]]
         return not any(v)
-
-    def contains(self, other: Subspace) -> bool:
-        return all(self.contains_vector(row) for row in other.basis_rows())
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -9,7 +9,6 @@ witnesses.
 """
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +35,6 @@ from .linalg import (
     subspace_incidence,
     subspace_sum,
 )
-
-log = logging.getLogger(__name__)
 
 _CHUNK = 1 << 15  # most candidates per streamed block of the scan
 _RETRY_CAP = 10_000  # most attempts of random_mds_code
@@ -103,7 +100,7 @@ class RepairReport:
     exhaustive: bool
     candidates_total: int
     candidates_scanned: int
-    anomalies: tuple[str, ...]
+    anomalies: tuple[str, ...]  # always empty: ArrayCode refuses every code that could have one
 
     @property
     def code_attains_bw(self) -> bool | None:
@@ -119,51 +116,45 @@ class RepairReport:
 
 
 def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], MatrixGF]:
-    """Per node intersection dimensions, captured column point counts, and W's repair matrix.
+    """Per node intersection dimensions, counts of column points in W, and W's repair matrix.
 
     The oracle for the mask scan, read through the repair matrix M, the
-    reduced basis of the annihilator of W, so that ker M = W.  For a basis
-    B_j of H_j, here the block's columns, dim(W meet H_j) = ell - rank(M B_j),
-    one rre_rank call on the ell x ell image; a column point p lies in W
-    exactly when M p = 0.  The images come column by column out of M X, X
-    the parity matrix H or the matrix of all column points, computed row
-    by row as sums of X's rows scaled by M's entries.  Where the column
-    points are the blocks' columns, as in every code the constructors
-    build, X = H serves both.  No point mask or incidence is read, and M is
-    the matrix the witness hands to the simulator.
+    reduced basis of the annihilator of W, so that ker M = W.  The images
+    come column by column out of M H, computed row by row as sums of the
+    packed parity rows scaled by M's entries.  The block's columns are a
+    basis of H_j, so dim(W meet H_j) = ell - rank(M H_j), one rre_rank call
+    on the ell x ell image.  Each column is a nonzero multiple of its
+    column point, which ArrayCode checks, so the point lies in W exactly
+    when the column's image is 0: z_j is the count of zero columns of
+    M H_j.  No point mask or incidence is read, and M is the matrix the
+    witness hands to the simulator.
     """
     f = code.field
     q = f.q
     add, mul = f.add_tab, f.mul_tab
     ell = code.ell
     matrix = kernel(w.basis_matrix).basis_matrix  # ell x (r*ell), as W has dimension (r-1)*ell
-
-    def images(rows: Sequence[bytes]) -> list[tuple[int, ...]]:
-        """The columns of M X, X given by its packed rows."""
-        out = []
-        for i in range(ell):
-            acc = None
-            for t, c in enumerate(matrix.row(i)):
-                if c:
-                    scaled = rows[t].translate(mul[c * q : (c + 1) * q] + bytes(256 - q))
-                    if acc is None:
-                        acc = scaled
-                    else:
-                        acc = bytes([add[a * q + b] for a, b in zip(acc, scaled)])
-            out.append(acc)
-        return list(zip(*out))
-
-    block_images = images(code.parity_rows)
-    point_rows = tuple(bytes(r) for r in zip(*chain.from_iterable(code.column_points)))
-    point_images = block_images if point_rows == code.parity_rows else images(point_rows)
-    flat = bytes(chain.from_iterable(block_images))  # (M B_j)^T at [j*size, (j+1)*size)
+    rows = code.parity_rows
+    out = []  # the rows of M H
+    for i in range(ell):
+        acc = None
+        for t, c in enumerate(matrix.row(i)):
+            if c:
+                scaled = rows[t].translate(mul[c * q : (c + 1) * q] + bytes(256 - q))
+                if acc is None:
+                    acc = scaled
+                else:
+                    acc = bytes([add[a * q + b] for a, b in zip(acc, scaled)])
+        out.append(acc)
+    images = list(zip(*out))  # the columns of M H
+    flat = bytes(chain.from_iterable(images))  # (M H_j)^T at [j*size, (j+1)*size)
     size = ell * ell
     tables = (q, f.sub_tab, mul, f.inv_tab)
     dims = [
         ell - rre_rank(bytearray(flat[j * size : (j + 1) * size]), ell, ell, *tables)
         for j in range(code.n)
     ]
-    live = bytes(map(any, point_images))  # 0 exactly at the column points in W
+    live = bytes(map(any, images))  # 0 exactly at the column points in W
     zs = [live[j * ell : (j + 1) * ell].count(0) for j in range(code.n)]
     return dims, zs, matrix
 
@@ -257,7 +248,7 @@ def _max_first(planes: list[int], live: int) -> tuple[int, int]:
 
 def _scan(
     code: ArrayCode, budget: int
-) -> tuple[dict[int, tuple[int, Subspace]], dict[int, tuple[int, Subspace]], int, int, list[str]]:
+) -> tuple[dict[int, tuple[int, Subspace]], dict[int, tuple[int, Subspace]], int, int]:
     """Per node maxima of both objectives over the first min(budget, total) candidates.
 
     Works on bitsets over candidate positions, read from the point
@@ -269,25 +260,24 @@ def _scan(
     [2^k, 2^(k+1)), k its bit length minus 1, and every smaller such count
     lies below 2^k; so dim >= t exactly where a plane k or higher is set.
     Summing those bitsets over (j, t) gives the total intersection
-    dimension, and summing the column point rows the total captured points.
-    On the candidates missing H_i both totals are node i's objectives.  The
-    first maximizer in enumeration order is the lowest position, and blocks
-    merge with a strict >, so an earlier block keeps a tie.  Maximizers are
-    kept as positions; only the distinct winners are rebuilt, by subspace_at.
+    dimension, and summing the column point rows the total of column points
+    in W.  No column point is checked here: ArrayCode has checked that
+    H_j's column points are independent points of H_j, so W holds at most
+    dim(W meet H_j) of them.  On the candidates missing H_i both totals
+    are node i's objectives.  The first maximizer in enumeration order is
+    the lowest position, and blocks merge with a strict >, so an earlier
+    block keeps a tie.  Maximizers are kept as positions; only the
+    distinct winners are rebuilt, by subspace_at.
     """
     f = code.field
     d = code.ambient_dim
     wdim = (code.r - 1) * code.ell
     tops = [projective_point_count(t, f.q).bit_length() - 1 for t in range(1, code.ell + 1)]
-    col_masks = [points_mask(f, d, plist) for plist in code.column_points]
-    if any(cm & ~h.point_mask for cm, h in zip(col_masks, code.node_subspaces)):
-        raise ValueError("column point outside its node subspace")
     node_bits = [list(_bits(h.point_mask)) for h in code.node_subspaces]
-    col_bits = [list(_bits(cm)) for cm in col_masks]
+    col_bits = [list(_bits(points_mask(f, d, plist))) for plist in code.column_points]
     total = gaussian_binomial(d, wdim, f.q)
     best_dim: dict[int, tuple[int, int]] = {}  # node -> (value, candidate position)
     best_pts: dict[int, tuple[int, int]] = {}
-    anomalies: list[str] = []
     scanned = 0
     if total <= min(budget, linalg._CACHE_LIMIT):
         blocks: Iterable = [(0, total, subspace_incidence(f, d, wdim))]
@@ -297,7 +287,6 @@ def _scan(
         dim_total: list[int] = []
         pts_total: list[int] = []
         meets = []  # per node, the candidates meeting H_j
-        excess = []  # per node, the candidates capturing more points than their dimension
         for nb, cb in zip(node_bits, col_bits):
             count: list[int] = []
             for b in nb:
@@ -308,20 +297,8 @@ def _scan(
             for x in at_least:
                 _add_bit(dim_total, x)
             meets.append(at_least[0])
-            captured: list[int] = []  # captured[s - 1]: at least s column points in W
             for b in cb:
-                x = inc[b]
-                _add_bit(pts_total, x)
-                captured.append(0)
-                for s in range(len(captured) - 1, 0, -1):
-                    captured[s] |= captured[s - 1] & x
-                captured[0] |= x
-            bad = 0
-            for s, z in enumerate(captured):
-                bad |= z & ~at_least[s] if s < len(at_least) else z
-            excess.append(bad)
-        if any(excess):
-            anomalies.extend(_anomaly_messages(code, start, excess, col_masks))
+                _add_bit(pts_total, inc[b])
         live = (1 << length) - 1
         for i in range(code.n):
             miss = live & ~meets[i]
@@ -339,35 +316,7 @@ def _scan(
         {i: (value, spaces[pos]) for i, (value, pos) in best_pts.items()},
         total,
         scanned,
-        anomalies,
     )
-
-
-def _anomaly_messages(
-    code: ArrayCode, start: int, excess: list[int], col_masks: list[int]
-) -> list[str]:
-    """One message per flagged (candidate, node), candidate-major, with z, dim and W.
-
-    Bit c of excess[j] flags the candidate at position start + c, which is
-    rebuilt by subspace_at.
-    """
-    dim_of = {projective_point_count(t, code.field.q): t for t in range(code.ell + 1)}
-    wdim = (code.r - 1) * code.ell
-    msgs = []
-    for pos in _bits(reduce(int.__or__, excess)):
-        w = subspace_at(code.field, code.ambient_dim, wdim, start + pos)
-        wm = w.point_mask
-        for j, bad in enumerate(excess):
-            if bad >> pos & 1:
-                z = (wm & col_masks[j]).bit_count()
-                dim = dim_of[(wm & code.node_subspaces[j].point_mask).bit_count()]
-                msg = (
-                    f"captured points exceed intersection dimension at node {j}: "
-                    f"z={z} dim={dim} W={w.entries}"
-                )
-                log.warning(msg)
-                msgs.append(msg)
-    return msgs
 
 
 def optimal_alpha(
@@ -405,7 +354,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     wdim = (code.r - 1) * code.ell
     cap = projective_point_count(wdim, q)
     bound = counting_bound(code.n, code.r, code.ell, q)
-    best_dim, best_pts, total, scanned, anomalies = _scan(code, budget)
+    best_dim, best_pts, total, scanned = _scan(code, budget)
     exhaustive = scanned == total
     for i in range(code.n):
         if i not in best_dim:
@@ -424,9 +373,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
         alpha = best_dim[i][0]
         lam = best_pts[i][0]
         if lam > alpha:
-            raise AssertionError(
-                f"node {i}: captured points {lam} exceed intersection total {alpha}"
-            )
+            raise AssertionError(f"node {i}: lambda {lam} exceeds alpha {alpha}")
         beta = code.ell * (code.n - 1) - alpha
         gamma = code.ell * (code.n - 1) - lam
         for cost, got, want in (("bw", wit_a.bw, beta), ("io", wit_l.io, gamma)):
@@ -483,7 +430,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
         exhaustive=exhaustive,
         candidates_total=total,
         candidates_scanned=scanned,
-        anomalies=tuple(anomalies),
+        anomalies=(),
     )
 
 
@@ -651,7 +598,6 @@ def verify_strictness_sweep(
     *,
     trials: int,
     seed: int = 0,
-    n_values: Sequence[int] | None = None,
 ) -> SweepResult:
     """Check beta_i > bound strictly on random MDS codes, for r >= 3, ell >= 2.
 
@@ -660,4 +606,4 @@ def verify_strictness_sweep(
     """
     if r < 3 or ell < 2:
         raise ValueError("strictness requires r >= 3 and ell >= 2")
-    return verify_bound_sweep(q, ell, r, trials=trials, seed=seed, n_values=n_values)
+    return verify_bound_sweep(q, ell, r, trials=trials, seed=seed)

@@ -39,28 +39,22 @@ class RepairTrace:
 
 
 @lru_cache(maxsize=1)
-def _codeword_basis(code: ArrayCode) -> tuple[tuple[tuple[int, ...], ...], MatrixGF]:
-    """A basis of ker(H) and H itself, kept for the code sampled last."""
-    return tuple(codeword_space(code).basis_rows()), code.parity_matrix()
+def _codeword_basis(code: ArrayCode) -> tuple[MatrixGF, MatrixGF]:
+    """A basis of ker(H) as the columns of one matrix, and H, kept for the code sampled last."""
+    return codeword_space(code).basis_matrix.transpose(), code.parity_matrix()
 
 
 def sample_codeword(code: ArrayCode, seed: int) -> CodewordArr:
-    """A codeword drawn uniformly from ker(H), deterministic per seed."""
+    """A codeword drawn uniformly from ker(H), deterministic per seed.
+
+    One coefficient is drawn per basis vector, in order, and the codeword
+    is their combination, one product with the basis matrix.
+    """
     basis, parity = _codeword_basis(code)
-    field = code.field
     rng = random.Random(seed)
-    flat = [0] * (code.n * code.ell)
-    for row in basis:
-        c = rng.randrange(field.q)
-        if c == 0:
-            continue
-        for t, v in enumerate(row):
-            flat[t] = field.add(flat[t], field.mul(c, v))
-    blocks = tuple(
-        tuple(flat[i * code.ell : (i + 1) * code.ell]) for i in range(code.n)
-    )
-    cw = CodewordArr(blocks)
-    if any(parity.mul_vec(cw.flat())):
+    flat = basis.mul_vec([rng.randrange(code.field.q) for _ in range(basis.cols)])
+    cw = CodewordArr(tuple(flat[i * code.ell : (i + 1) * code.ell] for i in range(code.n)))
+    if any(parity.mul_vec(flat)):
         raise AssertionError("sampled word violates the parity equation")
     return cw
 

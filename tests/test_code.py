@@ -6,8 +6,10 @@ import random
 import pytest
 
 from mdsrepair import repair
+from mdsrepair._kernel import rre_rank
 from mdsrepair.code import (
     MDS_CAP,
+    ArrayCode,
     MdsCheck,
     code_from_blocks,
     code_from_intrinsic,
@@ -114,19 +116,20 @@ def test_is_mds_detects_overlap():
     assert not chk.ok
     assert chk.failing_subset == (0, 1)
     i, j = chk.failing_subset
-    assert rank(code.blocks[i].hstack(code.blocks[j])) < 4
+    rows = [code.blocks[i].row(t) + code.blocks[j].row(t) for t in range(4)]
+    assert rank(MatrixGF.from_rows(code.field, rows)) < 4
 
 
 def _reference_is_mds(code):
-    """is_mds one r-subset at a time, by hstacked blocks and validated subspaces."""
+    """is_mds one r-subset at a time, by side-by-side blocks and validated subspaces."""
     if math.comb(code.n, code.r) > MDS_CAP:
         return MdsCheck("cap_exceeded", 0)
     checked = 0
     for subset in itertools.combinations(range(code.n), code.r):
         checked += 1
-        square = code.blocks[subset[0]]
-        for i in subset[1:]:
-            square = square.hstack(code.blocks[i])
+        square = MatrixGF.from_rows(code.field, [
+            sum((code.blocks[i].row(t) for i in subset), ()) for t in range(code.ambient_dim)
+        ])
         invertible = rank(square) == code.ambient_dim
         rows = [row for i in subset for row in code.node_subspaces[i].basis_rows()]
         direct = Subspace.from_rows(code.field, code.ambient_dim, rows).dim == code.ambient_dim
@@ -152,7 +155,7 @@ def _random_families(q, ell, r, count, rng):
 
 def test_is_mds_matches_the_reference_check():
     # the whole MdsCheck, status, subset count and failing subset, equals the
-    # hstack and from_rows formulation on MDS codes, on overlapping nodes
+    # side-by-side and from_rows formulation on MDS codes, on overlapping nodes
     # and on random families over GF(2) and GF(3)
     rng = random.Random(60)
     codes = [_spread_code(3, 7), _spread_code(2, 5), build_exceptional("q4n9")[0], _overlap_code()]
@@ -168,19 +171,78 @@ def test_is_mds_matches_the_reference_check():
     assert statuses == {"mds", "not_mds"}
 
 
-def test_is_mds_raises_when_blocks_and_subspaces_disagree():
-    # node 1's subspace replaced by node 0's: only the subspace form fails on
-    # (0, 1); node 1's block replaced by node 0's: only the matrix form does
+def test_is_mds_raises_when_blocks_and_subspaces_disagree(monkeypatch):
+    # ArrayCode refuses blocks and subspaces that disagree, so the kernel
+    # disagrees instead: the matrix form's rank (call 1) or the subspace
+    # form's (call 2) of the first subset comes back one short
     code = _spread_code(3, 5)
     assert is_mds(code).ok
-    subs = (code.node_subspaces[0], code.node_subspaces[0]) + code.node_subspaces[2:]
-    blocks = (code.blocks[0], code.blocks[0]) + code.blocks[2:]
-    for bad in (
-        dataclasses.replace(code, node_subspaces=subs),
-        dataclasses.replace(code, blocks=blocks),
-    ):
+    for short in (1, 2):
+        calls = []
+
+        def one_short(*args):
+            calls.append(args)
+            return rre_rank(*args) - (len(calls) == short)
+
+        monkeypatch.setattr("mdsrepair.code.rre_rank", one_short)
         with pytest.raises(AssertionError, match="^matrix and subspace MDS forms disagree$"):
-            is_mds(bad)
+            is_mds(code)
+        assert len(calls) == 2
+
+
+def _collinear_columns_code():
+    """An ell = 3 code whose nodes 1 and 3 each have three collinear column points."""
+    code = random_mds_code(field_of_order(2), 2, 3, 4, random.Random(7))
+    f = code.field
+    points = list(code.column_points)
+    for j in (1, 3):
+        a, b = code.node_subspaces[j].basis_rows()[:2]
+        c = [f.add(x, y) for x, y in zip(a, b)]
+        points[j] = (proj_point(f, a), proj_point(f, b), proj_point(f, c))
+    return dataclasses.replace(code, column_points=tuple(points))
+
+
+def _outside_point_code():
+    """q3n6 with node 1's column points given to node 0."""
+    code = build_exceptional("q3n6")[0]
+    points = list(code.column_points)
+    points[0] = code.column_points[1]
+    return dataclasses.replace(code, column_points=tuple(points))
+
+
+def _mismatched_blocks_code():
+    """Node 1's block replaced by node 0's, its points and subspace kept."""
+    code = _spread_code(3, 5)
+    return dataclasses.replace(code, blocks=(code.blocks[0], code.blocks[0]) + code.blocks[2:])
+
+
+def _swapped_subspaces_code():
+    """The subspaces of nodes 0 and 1 swapped, blocks and points kept."""
+    code = _spread_code(3, 5)
+    subs = code.node_subspaces
+    return dataclasses.replace(code, node_subspaces=(subs[1], subs[0]) + subs[2:])
+
+
+def _dependent_block_code():
+    """A direct ArrayCode whose block 0 repeats its first column."""
+    code = _spread_code(3, 5)
+    col = code.blocks[0].col(0)
+    dependent = MatrixGF(code.field, 4, 2, tuple(x for x in col for _ in range(2)))
+    return ArrayCode(code.field, code.n, code.k, code.ell, (dependent,) + code.blocks[1:],
+                     code.node_subspaces, code.column_points)
+
+
+@pytest.mark.parametrize("build, message", [
+    (_collinear_columns_code, "column points must be independent"),
+    (_outside_point_code, "column point outside its node subspace"),
+    (_mismatched_blocks_code, "block columns are not multiples of their column points"),
+    (_swapped_subspaces_code, "column point outside its node subspace"),
+    (_dependent_block_code, "block columns are not multiples of their column points"),
+], ids=["collinear", "outside", "blocks", "swapped", "direct"])
+def test_construction_refuses_an_inconsistent_code(build, message):
+    # every way of building a code runs ArrayCode's one consistency check
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_length_bound_values():

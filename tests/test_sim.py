@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mdsrepair import sim
-from mdsrepair.code import code_from_intrinsic
+from mdsrepair.code import code_from_intrinsic, codeword_space
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
@@ -23,6 +23,31 @@ def test_sample_codeword_is_deterministic_and_valid():
     assert not any(h.mul_vec(a.flat()))
     assert len(a.blocks) == code.n
     assert all(len(blk) == code.ell for blk in a.blocks)
+
+
+def _reference_sample(code, seed):
+    """The blocks of a codeword combined entry by entry, one draw per basis row in order."""
+    field = code.field
+    rng = random.Random(seed)
+    flat = [0] * (code.n * code.ell)
+    for row in codeword_space(code).basis_rows():
+        c = rng.randrange(field.q)
+        if c == 0:
+            continue
+        for t, v in enumerate(row):
+            flat[t] = field.add(flat[t], field.mul(c, v))
+    return tuple(tuple(flat[i * code.ell : (i + 1) * code.ell]) for i in range(code.n))
+
+
+def test_sample_codeword_matches_the_reference_combination():
+    # one product with the basis matrix gives the entry-by-entry combination
+    # of the same draws, over GF(2), GF(3) and GF(4) and at r = 2 and 3
+    codes = [build_two_parity_code(3, 2, 8)[0], build_exceptional("q4n9")[0],
+             build_two_parity_code(4, 2, 17)[0],
+             random_mds_code(field_of_order(2), 3, 2, 5, random.Random(51))]
+    for code in codes:
+        for seed in range(20):
+            assert sample_codeword(code, seed).blocks == _reference_sample(code, seed)
 
 
 def test_sampled_words_spread_over_the_code():
