@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -434,18 +434,28 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     )
 
 
+@lru_cache(maxsize=64)
+def _pool_masks(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[int, ...]:
+    """Point masks of all_subspaces(field, ambient_dim, dim), in pool order."""
+    return tuple(s.point_mask for s in all_subspaces(field, ambient_dim, dim))
+
+
 def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Random) -> ArrayCode:
     """Sample an (n, n-r, ell) MDS array code over the given field.
 
-    Walks the candidate subspaces in a random order, keeping each one that
-    stays r-wise independent with the family so far; whole-family rejection
-    sampling would almost never terminate at the rarer parameters.  A
-    candidate is independent of r-1 members exactly when it shares no
-    projective point with their span, so the walk keeps `forbidden`, the
-    union of the point masks of all spans of r-1 members, and a candidate
-    joins when its point mask misses it.  The first r-1 members join
-    unchecked; if they span less than (r-1)*ell, no candidate can join them
-    and the attempt ends there.  Each attempt makes one rng.shuffle.  The
+    Grows the family one member at a time, each a uniform draw among the
+    candidate subspaces that stay r-wise independent with the family so
+    far; whole-family rejection sampling would almost never terminate at
+    the rarer parameters.  A candidate is independent of r-1 members
+    exactly when it shares no projective point with their span, so once
+    spans start, every candidate whose point mask meets a new span leaves
+    the live list.  The first r-1 members are drawn unchecked; if they span
+    less than (r-1)*ell, no candidate can join them and the attempt ends
+    there, as it does when the live list runs empty.  One rng.randrange per
+    member samples exactly as a walk over a shuffled pool that keeps every
+    candidate that fits: spans only grow, so a candidate the walk skipped
+    stays out, and its next member, the first fitting candidate of a
+    uniform order, is a uniform draw among those that fit now.  The
     finished family is still verified by is_mds, whose rank-based check
     stays the independent oracle.
     """
@@ -454,16 +464,13 @@ def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Rando
     if n < r:
         raise ValueError("need n >= r")
     pool = all_subspaces(field, r * ell, ell)
+    masks = _pool_masks(field, r * ell, ell)
     span_dim = (r - 1) * ell
     for _ in range(_RETRY_CAP):
-        order = list(range(len(pool)))
-        rng.shuffle(order)
+        live = list(range(len(pool)))
         family: list[Subspace] = []
-        forbidden = 0
-        for idx in order:
-            cand = pool[idx]
-            if cand.point_mask & forbidden:
-                continue
+        while live:
+            cand = pool[live.pop(rng.randrange(len(live)))]
             # spans through cand start once it makes r-1 members; the last needs none
             if len(family) >= r - 2 and len(family) + 1 < n:
                 spans = [
@@ -471,8 +478,10 @@ def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Rando
                 ]
                 if any(s.dim < span_dim for s in spans):
                     break
+                new = 0
                 for s in spans:
-                    forbidden |= s.point_mask
+                    new |= s.point_mask
+                live = [i for i in live if not masks[i] & new]
             family.append(cand)
             if len(family) == n:
                 break

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +24,7 @@ from mdsrepair.code import (
 from mdsrepair.constructions import build_exceptional
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
-from mdsrepair.linalg import MatrixGF, Subspace, all_subspaces, proj_point, rank
+from mdsrepair.linalg import MatrixGF, Subspace, all_subspaces, proj_point, rank, subspace_sum
 from mdsrepair.repair import SamplingExhaustedError, random_mds_code
 
 
@@ -329,45 +331,155 @@ def test_random_mds_code_across_parameters():
         assert is_mds(code).ok
 
 
+class _CountingRng:
+    """A random.Random that counts the calls of each of its methods."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args)
+
+        return counted
+
+
 def test_random_mds_code_exhaustion(monkeypatch):
     field = field_of_order(2)
     monkeypatch.setattr(repair, "_RETRY_CAP", 3)
-    with pytest.raises(SamplingExhaustedError, match="after 3 attempts"):
+    rng = _CountingRng(0)
+    with pytest.raises(SamplingExhaustedError, match="after 3 attempts$"):
         # n beyond the length bound can never be reached
-        random_mds_code(field, 2, 2, 6, random.Random(0))
+        random_mds_code(field, 2, 2, 6, rng)
+    # one draw per member, at most n per attempt, and no shuffle of the pool
+    assert set(rng.calls) == {"randrange"}
+    assert 0 < rng.calls["randrange"] <= 6 * 3
+
+
+class _Branch(Exception):
+    """A scripted rng ran out of script at a randrange(k) call."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.k = k
+
+
+class _ScriptedRng:
+    """Answers randrange with a fixed script and weighs it: 1/k per randrange(k)."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.weight = Fraction(1)
+
+    def randrange(self, k):
+        if not self.script:
+            raise _Branch(k)
+        self.weight /= k
+        return self.script.pop(0)
+
+
+def _draw_distribution(field, r, ell, n):
+    """Exact distribution of random_mds_code's ordered families over one attempt."""
+    dist = {}
+    scripts = [[]]
+    while scripts:
+        script = scripts.pop()
+        rng = _ScriptedRng(script)
+        try:
+            family = random_mds_code(field, r, ell, n, rng).node_subspaces
+        except _Branch as branch:
+            scripts += [script + [j] for j in range(branch.k)]
+            continue
+        except SamplingExhaustedError:
+            family = None
+        dist[family] = dist.get(family, 0) + rng.weight
+    return dist
+
+
+def _shuffled_walk(field, r, ell, n, order):
+    """One attempt of the sampler before random_mds_code drew its members.
+
+    Walks the pool in the given order and keeps each candidate whose point
+    mask misses every span of r-1 members so far; returns the finished
+    family, is_mds not yet applied, or None.
+    """
+    pool = all_subspaces(field, r * ell, ell)
+    family = []
+    forbidden = 0
+    for idx in order:
+        cand = pool[idx]
+        if cand.point_mask & forbidden:
+            continue
+        if len(family) >= r - 2 and len(family) + 1 < n:
+            spans = [functools.reduce(subspace_sum, group, cand)
+                     for group in itertools.combinations(family, r - 2)]
+            if any(s.dim < (r - 1) * ell for s in spans):
+                return None
+            for s in spans:
+                forbidden |= s.point_mask
+        family.append(cand)
+        if len(family) == n:
+            return tuple(family)
+    return None
+
+
+@pytest.mark.parametrize("q, ell, r, n, families", [
+    (2, 1, 3, 3, 168), (2, 1, 3, 4, 168), (3, 1, 2, 4, 24),
+])
+def test_random_mds_code_samples_as_the_shuffled_walk(monkeypatch, q, ell, r, n, families):
+    # every draw sequence against every order of the 7- or 4-point pool, exactly
+    monkeypatch.setattr(repair, "_RETRY_CAP", 1)
+    field = field_of_order(q)
+    size = len(all_subspaces(field, r * ell, ell))
+    verdicts = {None: False}
+    walk = {}
+    for order in itertools.permutations(range(size)):
+        family = _shuffled_walk(field, r, ell, n, order)
+        if family not in verdicts:
+            verdicts[family] = is_mds(code_from_intrinsic(family)).ok
+        family = family if verdicts[family] else None
+        walk[family] = walk.get(family, 0) + Fraction(1, math.factorial(size))
+    drawn = _draw_distribution(field, r, ell, n)
+    assert drawn == walk
+    assert len(drawn) == families and None not in drawn
+    assert sum(drawn.values()) == 1
 
 
 def _rank_walk_mds_code(field, r, ell, n, rng, retry_cap):
-    """The rank-based sampler that random_mds_code's point-mask walk replaced.
+    """The rank-based sampler that random_mds_code's point-mask draw replaced.
 
-    A candidate joins when the stacked bases of it and of every r-1 members
-    have full rank.  Returns the code, or None at the retry cap, with the
-    number of finished families and of attempts whose first r-1 members
-    were dependent.
+    Each member is drawn from a live list in pool order; after it joins,
+    the live list keeps the candidates whose stacked bases with it and
+    every r-2 other members have full rank.  Returns the code, or None at
+    the retry cap, with the number of finished families and of attempts
+    whose first r-1 members were dependent.
     """
     pool = all_subspaces(field, r * ell, ell)
     d = r * ell
     finished = dependent = 0
 
-    def compatible(family, cand):
+    def fits(cand, newest, others):
         return all(
-            rank(MatrixGF(field, d, d, sum((s.entries for s in (cand, *group)), ()))) == d
-            for group in itertools.combinations(family, r - 1)
+            rank(MatrixGF(field, d, d, sum((s.entries for s in (cand, newest, *group)), ()))) == d
+            for group in itertools.combinations(others, r - 2)
         )
 
     for _ in range(retry_cap):
-        order = list(range(len(pool)))
-        rng.shuffle(order)
+        live = list(range(len(pool)))
         family = []
-        for idx in order:
-            cand = pool[idx]
-            if len(family) < r - 1 or compatible(family, cand):
-                family.append(cand)
-                if len(family) == r - 1:
-                    rows = [row for s in family for row in s.basis_rows()]
-                    dependent += Subspace.from_rows(field, d, rows).dim < (r - 1) * ell
-                if len(family) == n:
-                    break
+        while live:
+            family.append(pool[live.pop(rng.randrange(len(live)))])
+            if len(family) == r - 1:
+                rows = [row for s in family for row in s.basis_rows()]
+                dependent += Subspace.from_rows(field, d, rows).dim < (r - 1) * ell
+            if len(family) == n:
+                break
+            if len(family) >= r - 1:
+                live = [i for i in live if fits(pool[i], family[-1], family[:-1])]
         if len(family) < n:
             continue
         finished += 1
@@ -421,7 +533,7 @@ def test_random_mds_code_matches_rank_walk(monkeypatch):
                 else:
                     sampled += 1
                     assert got is not None and serialize(got) == serialize(ref), tag
-                # one shuffle per attempt, and only independent families finish
+                # one randrange per draw, and only independent families finish
                 assert rng.getstate() == ref_rng.getstate(), tag
                 assert verdicts == [True] * finished, tag
     # r = 2 cannot start dependent; both other kinds of walk must end some
