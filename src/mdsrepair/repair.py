@@ -10,10 +10,13 @@ witnesses.
 from __future__ import annotations
 
 import random
+import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
@@ -38,6 +41,8 @@ from .linalg import (
 
 _CHUNK = 1 << 15  # most candidates per streamed block of the scan
 _RETRY_CAP = 10_000  # most attempts of random_mds_code
+_PLANES_CEILING = 3 << 18  # most bytes of member planes kept between reports
+_RANK_MEMO = 1 << 12  # most ell x ell block ranks kept between reports
 
 
 class SamplingExhaustedError(RuntimeError):
@@ -115,6 +120,13 @@ class RepairReport:
         return all(nd.attains_io_bound for nd in self.nodes)
 
 
+@lru_cache(maxsize=_RANK_MEMO)
+def _block_rank(field: FieldCtx, ell: int, block: bytes) -> int:
+    """The rank of the ell x ell matrix whose entries, row by row, are block's bytes."""
+    q, sub, mul, inv = field.q, field.sub_tab, field.mul_tab, field.inv_tab
+    return rre_rank(bytearray(block), ell, ell, q, sub, mul, inv)
+
+
 def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], MatrixGF]:
     """Per node intersection dimensions, counts of column points in W, and W's repair matrix.
 
@@ -122,12 +134,13 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], M
     reduced basis of the annihilator of W, so that ker M = W.  The images
     come column by column out of M H, computed row by row as sums of the
     packed parity rows scaled by M's entries.  The block's columns are a
-    basis of H_j, so dim(W meet H_j) = ell - rank(M H_j), one rre_rank call
-    on the ell x ell image.  Each column is a nonzero multiple of its
-    column point, which ArrayCode checks, so the point lies in W exactly
-    when the column's image is 0: z_j is the count of zero columns of
-    M H_j.  No point mask or incidence is read, and M is the matrix the
-    witness hands to the simulator.
+    basis of H_j, so dim(W meet H_j) = ell - rank(M H_j), the rank of the
+    ell x ell image; reports meet few distinct images, so the ranks are
+    read through a bounded memo that rre_rank fills on a miss.  Each column
+    is a nonzero multiple of its column point, which ArrayCode checks, so
+    the point lies in W exactly when the column's image is 0: z_j is the
+    count of zero columns of M H_j.  No point mask or incidence is read,
+    and M is the matrix the witness hands to the simulator.
     """
     f = code.field
     q = f.q
@@ -149,11 +162,7 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], M
     images = list(zip(*out))  # the columns of M H
     flat = bytes(chain.from_iterable(images))  # (M H_j)^T at [j*size, (j+1)*size)
     size = ell * ell
-    tables = (q, f.sub_tab, mul, f.inv_tab)
-    dims = [
-        ell - rre_rank(bytearray(flat[j * size : (j + 1) * size]), ell, ell, *tables)
-        for j in range(code.n)
-    ]
+    dims = [ell - _block_rank(f, ell, flat[j * size : (j + 1) * size]) for j in range(code.n)]
     live = bytes(map(any, images))  # 0 exactly at the column points in W
     zs = [live[j * ell : (j + 1) * ell].count(0) for j in range(code.n)]
     return dims, zs, matrix
@@ -220,11 +229,16 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _add_bit(planes: list[int], x: int) -> None:
-    """Add the 0/1 bitset x to a bit-sliced counter, least significant plane first."""
-    for k, p in enumerate(planes):
+def _add_bit(planes: list[int], x: int, start: int) -> None:
+    """Add the 0/1 bitset x at plane start of a bit-sliced counter, least significant plane first.
+
+    The counter must already have the planes below start; a carry out of
+    its top plane becomes a new plane.
+    """
+    for k in range(start, len(planes)):
         if not x:
             return
+        p = planes[k]
         planes[k] = p ^ x
         x &= p
     if x:
@@ -246,6 +260,73 @@ def _max_first(planes: list[int], live: int) -> tuple[int, int]:
     return value, (live & -live).bit_length() - 1
 
 
+_Planes = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _member_planes(
+    inc: Sequence[int], node_points: Iterable[int], column_points: Iterable[int], tops: list[int]
+) -> _Planes:
+    """Bit-sliced counts of dim(W meet H) and of one node's column points in W, per candidate W.
+
+    The rows of H's points, given by number, add up to a bit-sliced count
+    of the points of W meet H, which is (q^t - 1)/(q - 1) for t = dim(W
+    meet H).  That number lies in [2^k, 2^(k+1)), k = tops[t - 1] its bit
+    length minus 1, and every smaller such count lies below 2^k; so dim >=
+    t exactly where a plane k or higher is set, and the dimension is the
+    sum of those bitsets over t = 1..ell.  The rows of the column points
+    add up to their count.
+    """
+    count: list[int] = []
+    for b in node_points:
+        _add_bit(count, inc[b], 0)
+    for k in range(len(count) - 2, -1, -1):
+        count[k] |= count[k + 1]  # now: a plane k or higher is set
+    dims: list[int] = []
+    for k in tops:
+        if k < len(count):
+            _add_bit(dims, count[k], 0)
+    captured: list[int] = []
+    for b in column_points:
+        _add_bit(captured, inc[b], 0)
+    return tuple(dims), tuple(captured)
+
+
+class _PlanesMemo:
+    """Member planes over whole cached incidences, keyed by (H, column points).
+
+    Each entry is charged the bytes of the ints and tuples it holds, its
+    key's included; past _PLANES_CEILING the least recently used go first.
+    """
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[tuple, tuple[_Planes, int]] = OrderedDict()
+        self.held = 0
+
+    def get(self, key: tuple) -> _Planes | None:
+        hit = self.entries.get(key)
+        if hit is None:
+            return None
+        self.entries.move_to_end(key)
+        return hit[0]
+
+    def put(self, key: tuple, planes: _Planes) -> None:
+        dims, captured = planes
+        size = sum(map(sys.getsizeof, (key, *key[1], planes, dims, captured, *dims, *captured)))
+        if size > _PLANES_CEILING:
+            return
+        self.entries[key] = (planes, size)
+        self.held += size
+        while self.held > _PLANES_CEILING:
+            self.held -= self.entries.popitem(last=False)[1][1]
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.held = 0
+
+
+_planes_memo = _PlanesMemo()
+
+
 def _scan(
     code: ArrayCode, budget: int
 ) -> tuple[dict[int, tuple[int, Subspace]], dict[int, tuple[int, Subspace]], int, int]:
@@ -254,58 +335,62 @@ def _scan(
     Works on bitsets over candidate positions, read from the point
     incidence block by block: the cached incidence is one block when the
     count fits both the budget and the cache, else incidence_blocks
-    streams blocks of at most _CHUNK.  Per node j, the rows of H_j's
-    points add up to a bit-sliced count of the points of W meet H_j, which
-    is (q^t - 1)/(q - 1) for t = dim(W meet H_j).  That number lies in
-    [2^k, 2^(k+1)), k its bit length minus 1, and every smaller such count
-    lies below 2^k; so dim >= t exactly where a plane k or higher is set.
-    Summing those bitsets over (j, t) gives the total intersection
-    dimension, and summing the column point rows the total of column points
-    in W.  No column point is checked here: ArrayCode has checked that
-    H_j's column points are independent points of H_j, so W holds at most
-    dim(W meet H_j) of them.  On the candidates missing H_i both totals
-    are node i's objectives.  The first maximizer in enumeration order is
-    the lowest position, and blocks merge with a strict >, so an earlier
-    block keeps a tie.  Maximizers are kept as positions; only the
+    streams blocks of at most _CHUNK.  Per node j, _member_planes gives
+    bit-sliced counts of dim(W meet H_j) and of H_j's column points in W,
+    and W meets H_j where any plane of the first is set.  Over the cached
+    incidence these depend on (H_j, column points) alone and are read
+    through a memo; streamed or budget-cut blocks compute them afresh.
+    Summed over j they give each candidate's total intersection dimension
+    and total of column points in W.  No column point is checked here: ArrayCode has checked
+    that H_j's column points are independent points of H_j, so W holds at
+    most dim(W meet H_j) of them.  On the candidates missing H_i both
+    totals are node i's objectives.  The first maximizer in enumeration
+    order is the lowest position, and blocks merge with a strict >, so an
+    earlier block keeps a tie.  Maximizers are kept as positions; only the
     distinct winners are rebuilt, by subspace_at.
     """
     f = code.field
     d = code.ambient_dim
     wdim = (code.r - 1) * code.ell
     tops = [projective_point_count(t, f.q).bit_length() - 1 for t in range(1, code.ell + 1)]
-    node_bits = [list(_bits(h.point_mask)) for h in code.node_subspaces]
-    col_bits = [list(_bits(points_mask(f, d, plist))) for plist in code.column_points]
     total = gaussian_binomial(d, wdim, f.q)
     best_dim: dict[int, tuple[int, int]] = {}  # node -> (value, candidate position)
     best_pts: dict[int, tuple[int, int]] = {}
     scanned = 0
-    if total <= min(budget, linalg._CACHE_LIMIT):
+    cached = total <= min(budget, linalg._CACHE_LIMIT)
+    if cached:
         blocks: Iterable = [(0, total, subspace_incidence(f, d, wdim))]
     else:
         blocks = incidence_blocks(f, d, wdim, min(budget, total), _CHUNK)
+    # node -> the numbers of its points and of its column points, on its first miss
+    numbers: dict[int, tuple[list[int], list[int]]] = {}
     for start, length, inc in blocks:
-        dim_total: list[int] = []
-        pts_total: list[int] = []
+        # both totals are at most ell * n, so they never outgrow these planes
+        dim_total = [0] * (code.ell * code.n).bit_length()
+        pts_total = [0] * (code.ell * code.n).bit_length()
         meets = []  # per node, the candidates meeting H_j
-        for nb, cb in zip(node_bits, col_bits):
-            count: list[int] = []
-            for b in nb:
-                _add_bit(count, inc[b])
-            for k in range(len(count) - 2, -1, -1):
-                count[k] |= count[k + 1]  # now: a plane k or higher is set
-            at_least = [count[k] if k < len(count) else 0 for k in tops]  # dim >= 1, ..., ell
-            for x in at_least:
-                _add_bit(dim_total, x)
-            meets.append(at_least[0])
-            for b in cb:
-                _add_bit(pts_total, inc[b])
+        for j, key in enumerate(zip(code.node_subspaces, code.column_points)):
+            planes = _planes_memo.get(key) if cached else None
+            if planes is None:
+                if j not in numbers:
+                    h, plist = key
+                    numbers[j] = (list(_bits(h.point_mask)), list(_bits(points_mask(f, d, plist))))
+                planes = _member_planes(inc, *numbers[j], tops)
+                if cached:
+                    _planes_memo.put(key, planes)
+            dims, captured = planes  # the per-family part: sum the members' counts
+            for k, x in enumerate(dims):
+                _add_bit(dim_total, x, k)
+            for k, x in enumerate(captured):
+                _add_bit(pts_total, x, k)
+            meets.append(reduce(or_, dims, 0))
         live = (1 << length) - 1
         for i in range(code.n):
             miss = live & ~meets[i]
             if not miss:
                 continue
-            for best, planes in ((best_dim, dim_total), (best_pts, pts_total)):
-                value, pos = _max_first(planes, miss)
+            for best, totals in ((best_dim, dim_total), (best_pts, pts_total)):
+                value, pos = _max_first(totals, miss)
                 if i not in best or value > best[i][0]:
                     best[i] = (value, start + pos)
         scanned += length

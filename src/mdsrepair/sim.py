@@ -39,9 +39,16 @@ class RepairTrace:
 
 
 @lru_cache(maxsize=1)
-def _codeword_basis(code: ArrayCode) -> tuple[MatrixGF, MatrixGF]:
-    """A basis of ker(H) as the columns of one matrix, and H, kept for the code sampled last."""
-    return codeword_space(code).basis_matrix.transpose(), code.parity_matrix()
+def _codeword_basis(code: ArrayCode) -> MatrixGF:
+    """A basis of ker(H) as the columns of one matrix, kept for the code sampled last.
+
+    H B = 0 is checked here, once per code: every sample is a combination
+    of B's columns, so it satisfies the parity equation whenever B does.
+    """
+    basis = codeword_space(code).basis_matrix.transpose()
+    if any(code.parity_matrix().mul(basis).entries):
+        raise AssertionError("sampled word violates the parity equation")
+    return basis
 
 
 def sample_codeword(code: ArrayCode, seed: int) -> CodewordArr:
@@ -50,13 +57,10 @@ def sample_codeword(code: ArrayCode, seed: int) -> CodewordArr:
     One coefficient is drawn per basis vector, in order, and the codeword
     is their combination, one product with the basis matrix.
     """
-    basis, parity = _codeword_basis(code)
+    basis = _codeword_basis(code)
     rng = random.Random(seed)
     flat = basis.mul_vec([rng.randrange(code.field.q) for _ in range(basis.cols)])
-    cw = CodewordArr(tuple(flat[i * code.ell : (i + 1) * code.ell] for i in range(code.n)))
-    if any(parity.mul_vec(flat)):
-        raise AssertionError("sampled word violates the parity equation")
-    return cw
+    return CodewordArr(tuple(flat[i * code.ell : (i + 1) * code.ell] for i in range(code.n)))
 
 
 @lru_cache(maxsize=1)

@@ -43,11 +43,13 @@ def test_pinned_cli_lines_are_printed(capsys):
 
 @pytest.mark.parametrize("name", ["scan_l3", "sweep_random"])
 def test_one_workload_cycle_gets_its_written_down_answers(name, tmp_path):
-    # small scan_l3 reports the l = 2 codes; sweep_random has one size
+    # small scan_l3 reports the l = 2 codes, three of them, so its fourth
+    # cycle repeats the first code through warm memos; sweep_random has one size
     workloads = _load("workloads")
     wl = workloads.WORKLOADS[name](11, True, tmp_path)
     wl.setup()
-    ops = wl.cycle(0)
-    assert ops
-    for op in ops:
-        assert op.run() > 0, op.label  # raises workloads.Mismatch on a wrong answer
+    for k in range(4):
+        ops = wl.cycle(k)
+        assert ops
+        for op in ops:
+            assert op.run() > 0, op.label  # raises workloads.Mismatch on a wrong answer

@@ -1,14 +1,17 @@
 import bisect
 import dataclasses
 import gc
+import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mdsrepair import cli, linalg, repair
+from mdsrepair._kernel import rre_rank
 from mdsrepair.code import code_from_blocks, code_from_intrinsic, serialize
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
@@ -230,8 +233,15 @@ def test_scan_matches_reference_scan(budget, monkeypatch):
         assert got == want
 
 
+def _clear_memos():
+    """Empty the member-plane and block-rank memos, so that the next report runs cold."""
+    repair._planes_memo.clear()
+    repair._block_rank.cache_clear()
+
+
 def test_streamed_blocks_match_the_cached_scan(monkeypatch):
     code = build_two_parity_code(3, 2, 8)[0]
+    _clear_memos()
     cached = repair_report(code)
     ref_dim, ref_pts, total, _ = _reference_scan(code, 10**7)
     chunk = 7
@@ -256,6 +266,7 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
     monkeypatch.setattr(linalg, "_CACHE_LIMIT", total - 1)
     monkeypatch.setattr(repair, "_CHUNK", chunk)
     monkeypatch.setattr(repair, "subspace_incidence", refuse)
+    _clear_memos()
     assert repair_report(code) == cached
     for budget in (10**7, 30):
         assert _scan(code, budget) == _reference_scan(code, budget)
@@ -306,6 +317,7 @@ def test_cold_scan_keeps_no_candidate_subspaces(monkeypatch):
     # PG(3, 7) do not outlive it
     code = _spread_code(7, 8)
     linalg.subspace_incidence.cache_clear()
+    _clear_memos()
     want = repair_report(code)
 
     def refuse(*args, **kwargs):
@@ -318,6 +330,7 @@ def test_cold_scan_keeps_no_candidate_subspaces(monkeypatch):
     for limit in (linalg._CACHE_LIMIT, 1):  # cached, then streamed
         monkeypatch.setattr(linalg, "_CACHE_LIMIT", limit)
         linalg.subspace_incidence.cache_clear()
+        _clear_memos()
         before = _live_subspaces()
         assert repair_report(code) == want
         assert _live_subspaces() - before < 1000
@@ -406,6 +419,126 @@ def test_make_witnesses_profiles_each_distinct_subspace_once(monkeypatch):
         for g, w in zip(got, want):
             for f in dataclasses.fields(RepairWitness):
                 assert getattr(g, f.name) == getattr(w, f.name), f.name
+
+
+def _count(planes, pos):
+    """The value at candidate position pos of a bit-sliced counter."""
+    return sum(((p >> pos) & 1) << k for k, p in enumerate(planes))
+
+
+def test_memoised_member_planes_match_a_fresh_incidence():
+    # after a cold report the memo holds every node's planes over the whole
+    # incidence: rebuilt from a fresh incidence they are the same, and read
+    # candidate by candidate they give a dim with (q^dim - 1)/(q - 1) points
+    # of H_j in W, and the count of node j's column points in W
+    rng = random.Random(38)
+    codes = _differential_codes()
+    codes += [random_mds_code(field_of_order(q), r, ell, n, rng)
+              for q, ell, r, n in ((3, 2, 2, 7), (4, 2, 2, 6), (2, 2, 3, 5), (4, 1, 3, 5))]
+    for code in codes:
+        f, d = code.field, code.ambient_dim
+        wdim = (code.r - 1) * code.ell
+        tops = [(f.q**t - 1) // (f.q - 1) for t in range(1, code.ell + 1)]
+        tops = [x.bit_length() - 1 for x in tops]
+        _clear_memos()
+        repair_report(code)
+        linalg.subspace_incidence.cache_clear()
+        inc = linalg.subspace_incidence(f, d, wdim)
+        for h, plist in zip(code.node_subspaces, code.column_points):
+            planes = repair._planes_memo.get((h, plist))
+            node_points = list(repair._bits(h.point_mask))
+            column_points = list(repair._bits(linalg.points_mask(f, d, plist)))
+            assert planes == repair._member_planes(inc, node_points, column_points, tops)
+            dims, captured = planes
+            for pos in range(gaussian_binomial(d, wdim, f.q)):
+                dim = _count(dims, pos)
+                assert sum(inc[b] >> pos & 1 for b in node_points) == (f.q**dim - 1) // (f.q - 1)
+                assert _count(captured, pos) == sum(inc[b] >> pos & 1 for b in column_points)
+
+
+def _reports(code, budgets):
+    """The code's report at each budget, or the message of the budget error."""
+    out = []
+    for budget in budgets:
+        try:
+            out.append(repair_report(code, budget=budget))
+        except BudgetExceededError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_reports_are_the_same_cold_and_warm(monkeypatch):
+    # every report, witnesses included, is the same with both memos cleared
+    # before it and with them warm, in forward and in reverse order; the mix
+    # fits under the ceiling, so no exhaustive report computes member planes
+    # once the memo is warm
+    codes = _witness_mix()
+    budgets = (10**7, 50)
+    cold = []
+    for code in codes:
+        _clear_memos()
+        cold.append(_reports(code, budgets))
+    assert [_reports(code, budgets) for code in codes] == cold
+    calls = []
+    real = repair._member_planes
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "_member_planes", counting)
+    assert [_reports(code, budgets[:1]) for code in codes[::-1]] == [r[:1] for r in cold[::-1]]
+    assert calls == []
+    assert [_reports(code, budgets) for code in codes[::-1]] == cold[::-1]
+    assert calls  # the budget-cut reports stream their blocks past the memo
+
+
+def _held(memo):
+    """Bytes of the ints and tuples the member-plane memo holds, its keys' included."""
+    return sum(
+        sys.getsizeof(x)
+        for key, (planes, _) in memo.entries.items()
+        for x in (key, *key[1], planes, *planes, *planes[0], *planes[1])
+    )
+
+
+def test_a_small_ceiling_bounds_the_memo_and_keeps_the_reports(monkeypatch):
+    codes = _witness_mix()
+    _clear_memos()
+    want = [_reports(code, (10**7,)) for code in codes]
+    members = {key for code in codes for key in zip(code.node_subspaces, code.column_points)}
+    ceiling = 60_000  # three members of a q=3, ell=3 code, or dozens of smaller ones
+    monkeypatch.setattr(repair, "_PLANES_CEILING", ceiling)
+    memo = repair._planes_memo
+    memo.clear()
+    for order in (codes, codes[::-1]):
+        got = []
+        for code in order:
+            got.append(_reports(code, (10**7,)))
+            assert memo.held == _held(memo) <= ceiling
+            assert memo.entries
+        assert got == (want if order is codes else want[::-1])
+    assert len(memo.entries) < len(members)
+    _clear_memos()
+
+
+def test_memoised_block_rank_matches_a_fresh_rank():
+    # every ell x ell matrix over GF(q), the fields in turn through one memo:
+    # the first answer is a miss that rre_rank fills, the second a hit, and
+    # both are rre_rank's; the same bytes can mean other matrices over
+    # another field, so no field reads a rank the memo kept for one before
+    cases = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+    repair._block_rank.cache_clear()
+    for q, ell in cases:
+        f = field_of_order(q)
+        for entries in itertools.product(range(q), repeat=ell * ell):
+            block = bytes(entries)
+            want = rre_rank(bytearray(block), ell, ell, q, f.sub_tab, f.mul_tab, f.inv_tab)
+            assert repair._block_rank(f, ell, block) == want
+            assert repair._block_rank(f, ell, block) == want
+    info = repair._block_rank.cache_info()
+    assert info.hits == info.misses == sum(q ** (ell * ell) for q, ell in cases)
+    assert info.currsize == repair._RANK_MEMO
 
 
 def _oracle_one_lower(index):

@@ -8,6 +8,7 @@ from mdsrepair.code import code_from_intrinsic, codeword_space
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
+from mdsrepair.linalg import Subspace
 from mdsrepair.repair import optimal_alpha, random_mds_code
 from mdsrepair.sim import erase_and_repair, sample_codeword
 
@@ -48,6 +49,23 @@ def test_sample_codeword_matches_the_reference_combination():
     for code in codes:
         for seed in range(20):
             assert sample_codeword(code, seed).blocks == _reference_sample(code, seed)
+
+
+def test_a_corrupted_codeword_basis_is_refused(monkeypatch):
+    # H B = 0 is checked once, when the basis of a code is built: a basis
+    # with one entry off must make sampling raise, since no per-sample
+    # check is left to catch it
+    code, _, _ = build_two_parity_code(3, 2, 8)
+    rows = [list(row) for row in codeword_space(code).basis_rows()]
+    rows[0][0] = code.field.add(rows[0][0], 1)
+    bad = Subspace.from_rows(code.field, code.n * code.ell, rows)
+    monkeypatch.setattr(sim, "codeword_space", lambda c: bad)
+    sim._codeword_basis.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="^sampled word violates the parity equation$"):
+            sample_codeword(code, 0)
+    finally:
+        sim._codeword_basis.cache_clear()
 
 
 def test_sampled_words_spread_over_the_code():
