@@ -93,13 +93,14 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
 class FieldCtx:
     """A concrete GF(p^m) with a fixed modulus and fixed element encoding."""
 
-    __slots__ = ("p", "m", "q", "modulus", "add_tab", "sub_tab", "mul_tab", "inv_tab")
+    __slots__ = ("p", "m", "q", "modulus", "add_tab", "sub_tab", "mul_tab", "inv_tab", "_hash")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.q = p**m
         self.modulus = modulus
+        self._hash = hash((p, m, modulus))  # memo keys hash the field on every lookup
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -211,7 +212,7 @@ class FieldCtx:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -256,27 +256,60 @@ def _span(field: FieldCtx, ambient_dim: int, buf: bytearray, count: int) -> Subs
 
 
 def kernel(mat: MatrixGF) -> Subspace:
-    """Right null space of mat as a subspace of F_q^cols.
+    """Right null space of mat as a subspace of F_q^cols: the annihilator of its row space."""
+    return annihilator(_span(mat.field, mat.cols, bytearray(mat.packed), mat.rows))
 
-    One basis vector per free column of the reduced mat, 1 there and the
-    negated column at the pivots; their span is reduced once more.
+
+def annihilator(space: Subspace) -> Subspace:
+    """The vectors x with B x = 0 for a basis B of space, read off its reduced basis.
+
+    One vector per free column of the reduced basis, 1 there and the
+    negated column at the pivots; their span is reduced once.
     """
-    f = mat.field
-    d = mat.cols
-    red = bytearray(mat.packed)
-    r = rref_rank(red, mat.rows, d, *_tables(f))
-    pivots = [next(j for j in range(d) if red[i * d + j]) for i in range(r)]
+    f = space.field
+    d = space.ambient_dim
+    entries = space.entries
     neg = f.sub_tab  # neg[x] = 0 - x
     rows = bytearray()
     for free in range(d):
-        if free in pivots:
+        if free in space.pivots:
             continue
         v = bytearray(d)
         v[free] = 1
-        for i, p in enumerate(pivots):
-            v[p] = neg[red[i * d + free]]
+        for i, p in enumerate(space.pivots):
+            v[p] = neg[entries[i * d + free]]
         rows += v
-    return _span(f, d, rows, d - r)
+    return _span(f, d, rows, d - space.dim)
+
+
+def combine_rows(field: FieldCtx, coeffs: Iterable[int], rows: Iterable[bytes], width: int) -> bytes:
+    """sum_t coeffs[t] * rows[t] over packed rows of width field codes each.
+
+    Each row is scaled by translate through row c of the multiplication
+    table.  For q <= 16 two rows add as whole integers: read little-endian
+    as A and B, every byte of A*q + B holds a*q + b < q^2 <= 256, so no
+    carry crosses a byte, and one translate through the addition table
+    sums every entry at once.  Larger fields add entry by entry.
+    """
+    q = field.q
+    add, mul = field.add_tab, field.mul_tab
+    pad = bytes(256 - q)
+    packed = q * q <= 256
+    if packed:
+        sums = add + bytes(256 - q * q)
+    acc = None
+    for c, row in zip(coeffs, rows):
+        if not c:
+            continue
+        scaled = row if c == 1 else row.translate(mul[c * q : (c + 1) * q] + pad)
+        if acc is None:
+            acc = scaled
+        elif packed:
+            total = int.from_bytes(acc, "little") * q + int.from_bytes(scaled, "little")
+            acc = total.to_bytes(width, "little").translate(sums)
+        else:
+            acc = bytes([add[a * q + b] for a, b in zip(acc, scaled)])
+    return bytes(width) if acc is None else acc
 
 
 def inverse(mat: MatrixGF) -> MatrixGF:

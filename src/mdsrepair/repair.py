@@ -15,7 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import combinations
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -29,9 +29,10 @@ from .linalg import (
     MatrixGF,
     Subspace,
     all_subspaces,
+    annihilator,
+    combine_rows,
     gaussian_binomial,
     incidence_blocks,
-    kernel,
     points_mask,
     projective_point_count,
     subspace_at,
@@ -131,75 +132,65 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], M
     """Per node intersection dimensions, counts of column points in W, and W's repair matrix.
 
     The oracle for the mask scan, read through the repair matrix M, the
-    reduced basis of the annihilator of W, so that ker M = W.  The images
-    come column by column out of M H, computed row by row as sums of the
-    packed parity rows scaled by M's entries.  The block's columns are a
-    basis of H_j, so dim(W meet H_j) = ell - rank(M H_j), the rank of the
-    ell x ell image; reports meet few distinct images, so the ranks are
-    read through a bounded memo that rre_rank fills on a miss.  Each column
-    is a nonzero multiple of its column point, which ArrayCode checks, so
-    the point lies in W exactly when the column's image is 0: z_j is the
-    count of zero columns of M H_j.  No point mask or incidence is read,
-    and M is the matrix the witness hands to the simulator.
+    reduced basis of the annihilator of W, so that ker M = W; it comes
+    straight off W's reduced basis.  The rows of M H are sums of the packed
+    parity rows scaled by M's entries, taken by combine_rows.  The block's
+    columns are a basis of H_j, so dim(W meet H_j) = ell - rank(M H_j), the
+    rank of the ell x ell image; reports meet few distinct images, so the
+    ranks are read through a bounded memo that rre_rank fills on a miss.
+    Each column is a nonzero multiple of its column point, which ArrayCode
+    checks, so the point lies in W exactly when the column's image is 0:
+    z_j is the count of zero bytes of H_j's columns in the OR of the rows
+    of M H.  No point mask or incidence is read, and M is the matrix the
+    witness hands to the simulator.
     """
     f = code.field
-    q = f.q
-    add, mul = f.add_tab, f.mul_tab
     ell = code.ell
-    matrix = kernel(w.basis_matrix).basis_matrix  # ell x (r*ell), as W has dimension (r-1)*ell
-    rows = code.parity_rows
-    out = []  # the rows of M H
-    for i in range(ell):
-        acc = None
-        for t, c in enumerate(matrix.row(i)):
-            if c:
-                scaled = rows[t].translate(mul[c * q : (c + 1) * q] + bytes(256 - q))
-                if acc is None:
-                    acc = scaled
-                else:
-                    acc = bytes([add[a * q + b] for a, b in zip(acc, scaled)])
-        out.append(acc)
-    images = list(zip(*out))  # the columns of M H
-    flat = bytes(chain.from_iterable(images))  # (M H_j)^T at [j*size, (j+1)*size)
+    width = code.n * ell
+    matrix = annihilator(w).basis_matrix  # ell x (r*ell), as W has dimension (r-1)*ell
+    out = [combine_rows(f, matrix.row(i), code.parity_rows, width) for i in range(ell)]
+    cols = bytearray(ell * width)  # the columns of M H, one after another
+    for i, row in enumerate(out):
+        cols[i::ell] = row
+    flat = bytes(cols)  # (M H_j)^T at [j*size, (j+1)*size)
     size = ell * ell
     dims = [ell - _block_rank(f, ell, flat[j * size : (j + 1) * size]) for j in range(code.n)]
-    live = bytes(map(any, images))  # 0 exactly at the column points in W
-    zs = [live[j * ell : (j + 1) * ell].count(0) for j in range(code.n)]
+    live = 0
+    for row in out:
+        live |= int.from_bytes(row, "little")
+    live_cols = live.to_bytes(width, "little")  # 0 exactly at the column points in W
+    zs = [live_cols[j * ell : (j + 1) * ell].count(0) for j in range(code.n)]
     return dims, zs, matrix
 
 
-def make_witnesses(
+def _witnesses(
     code: ArrayCode, repairs: Iterable[tuple[int, Subspace]]
-) -> tuple[RepairWitness, ...]:
-    """The witness of each (node, W) pair, the node repaired through W.
-
-    Each W must be a complement of H_node in the code's space; its repair
-    matrix is the reduced basis of its annihilator, the matrix whose
-    kernel is W.  The profile and the matrix depend on the code and W
-    alone, so each distinct W runs the rank oracle once, which reduces the
-    matrix and profiles every node through it, and every node repaired
-    through W slices its own witness out.
-    """
+) -> tuple[tuple[RepairWitness, ...], dict[Subspace, bool]]:
+    """make_witnesses, and per distinct W whether it meets some node's subspace in dimension > 1."""
     ell = code.ell
+    full = ell * code.n  # both costs over all n nodes when W meets none
     # per W: the (j, dim(W meet H_j)) and (j, z_j) pairs over all n nodes,
-    # the bandwidth and I/O totals over all n, and the repair matrix
+    # the bandwidth and I/O totals over all n, the repair matrix, and
+    # whether some dimension exceeds 1
     profiles: dict[Subspace, tuple] = {}
     witnesses = []
     for node, w in repairs:
-        if w.ambient_dim != code.ambient_dim or w.field != code.field:
-            raise ValueError("repair subspace does not match the code")
-        if w.dim != (code.r - 1) * ell:
-            raise ValueError("repair subspace must have dimension (r-1)*ell")
-        if w not in profiles:
+        profile = profiles.get(w)
+        if profile is None:
+            if w.ambient_dim != code.ambient_dim or w.field != code.field:
+                raise ValueError("repair subspace does not match the code")
+            if w.dim != (code.r - 1) * ell:
+                raise ValueError("repair subspace must have dimension (r-1)*ell")
             dims, zs, matrix = _rank_profile(code, w)
-            profiles[w] = (
+            profile = profiles[w] = (
                 tuple(enumerate(dims)),
                 tuple(enumerate(zs)),
-                sum(ell - x for x in dims),
-                sum(ell - z for z in zs),
+                full - sum(dims),
+                full - sum(zs),
                 matrix,
+                max(dims) > 1,
             )
-        dim_pairs, z_pairs, bw_all, io_all, matrix = profiles[w]
+        dim_pairs, z_pairs, bw_all, io_all, matrix, _ = profile
         if dim_pairs[node][1] != 0:
             raise ValueError("repair subspace meets the failed node's subspace")
         witnesses.append(
@@ -213,7 +204,23 @@ def make_witnesses(
                 io=io_all - (ell - z_pairs[node][1]),
             )
         )
-    return tuple(witnesses)
+    return tuple(witnesses), {w: profile[5] for w, profile in profiles.items()}
+
+
+def make_witnesses(
+    code: ArrayCode, repairs: Iterable[tuple[int, Subspace]]
+) -> tuple[RepairWitness, ...]:
+    """The witness of each (node, W) pair, the node repaired through W.
+
+    Each W must be a complement of H_node in the code's space; its repair
+    matrix is the reduced basis of its annihilator, the matrix whose
+    kernel is W.  The profile and the matrix depend on the code and W
+    alone, so each distinct W runs the rank oracle once, which reduces the
+    matrix and profiles every node through it; the pair tuples and both
+    totals are built once per W, and every node repaired through W slices
+    its own witness out.
+    """
+    return _witnesses(code, repairs)[0]
 
 
 def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
@@ -450,7 +457,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                 )
             raise AssertionError("no feasible repair subspace found")
     # alpha and lambda witnesses alternate; one rank-oracle run per distinct W
-    wits = make_witnesses(
+    wits, wide = _witnesses(
         code, [(i, best[i][1]) for i in range(code.n) for best in (best_dim, best_pts)]
     )
     summaries = []
@@ -471,7 +478,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                 raise AssertionError(
                     f"node {i}: saving {alpha} exceeds the projective point capacity {cap}"
                 )
-            if alpha == cap and any(d > 1 for _, d in wit_a.helper_dims):
+            if alpha == cap and wide[wit_a.space]:
                 raise AssertionError(
                     f"node {i}: bound attained but a helper intersection exceeds dim 1"
                 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .code import ArrayCode, CodewordArr, codeword_space
-from .linalg import MatrixGF, inverse, kernel, rank
+from .linalg import MatrixGF, combine_rows, inverse, kernel, rank
 from .repair import RepairWitness
 
 
@@ -39,28 +39,31 @@ class RepairTrace:
 
 
 @lru_cache(maxsize=1)
-def _codeword_basis(code: ArrayCode) -> MatrixGF:
-    """A basis of ker(H) as the columns of one matrix, kept for the code sampled last.
+def _codeword_basis(code: ArrayCode) -> tuple[bytes, ...]:
+    """The packed rows of a basis B of ker(H), kept for the code sampled last.
 
-    H B = 0 is checked here, once per code: every sample is a combination
-    of B's columns, so it satisfies the parity equation whenever B does.
+    H B^T = 0 is checked here, once per code: every sample is a combination
+    of B's rows, so it satisfies the parity equation whenever B does.
     """
-    basis = codeword_space(code).basis_matrix.transpose()
-    if any(code.parity_matrix().mul(basis).entries):
+    space = codeword_space(code)
+    if any(code.parity_matrix().mul(space.basis_matrix.transpose()).entries):
         raise AssertionError("sampled word violates the parity equation")
-    return basis
+    width = space.ambient_dim
+    return tuple(space.packed[i * width : (i + 1) * width] for i in range(space.dim))
 
 
 def sample_codeword(code: ArrayCode, seed: int) -> CodewordArr:
     """A codeword drawn uniformly from ker(H), deterministic per seed.
 
     One coefficient is drawn per basis vector, in order, and the codeword
-    is their combination, one product with the basis matrix.
+    is their combination, taken over the packed basis rows by combine_rows.
     """
-    basis = _codeword_basis(code)
+    rows = _codeword_basis(code)
     rng = random.Random(seed)
-    flat = basis.mul_vec([rng.randrange(code.field.q) for _ in range(basis.cols)])
-    return CodewordArr(tuple(flat[i * code.ell : (i + 1) * code.ell] for i in range(code.n)))
+    q = code.field.q
+    ell = code.ell
+    flat = combine_rows(code.field, [rng.randrange(q) for _ in rows], rows, code.n * ell)
+    return CodewordArr(tuple(tuple(flat[i * ell : (i + 1) * ell]) for i in range(code.n)))
 
 
 @lru_cache(maxsize=1)

@@ -11,6 +11,8 @@ from mdsrepair.linalg import (
     MatrixGF,
     Subspace,
     all_subspaces,
+    annihilator,
+    combine_rows,
     enumerate_subspaces,
     gaussian_binomial,
     incidence_blocks,
@@ -105,6 +107,50 @@ def test_kernel_is_the_right_null_space():
             assert ker.dim == m.cols - rank(m)
             for row in ker.basis_rows():
                 assert all(v == 0 for v in m.mul_vec(row))
+
+
+def test_annihilator_is_the_kernel_of_the_basis_matrix():
+    # read off the reduced basis, the annihilator is the kernel that row
+    # reduces the basis matrix afresh, and it annihilates every basis row
+    rng = random.Random(15)
+    for q in (2, 3, 4, 5):
+        field = field_of_order(q)
+        for _ in range(25):
+            m = _random_matrix(rng, field, rng.randrange(1, 5), rng.randrange(1, 6))
+            space = Subspace.from_rows(field, m.cols, m.to_rows())
+            ann = annihilator(space)
+            assert ann == kernel(space.basis_matrix) == kernel(m)
+            for row in ann.basis_rows():
+                assert all(v == 0 for v in space.basis_matrix.mul_vec(row))
+
+
+def _per_entry_combination(field, coeffs, rows, width):
+    """sum_t coeffs[t] * rows[t] entry by entry through the flat tables."""
+    q = field.q
+    acc = [0] * width
+    for c, row in zip(coeffs, rows):
+        for t, v in enumerate(row):
+            acc[t] = field.add_tab[acc[t] * q + field.mul_tab[c * q + v]]
+    return bytes(acc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 17, 25, 27, 256])
+def test_combine_rows_matches_the_per_entry_sum(q):
+    # whole-row sums for q <= 16 and entry-by-entry ones above agree with
+    # the table sum, for single rows, zero and unit coefficients, all-zero
+    # coefficients and every entry value at the row's ends
+    field = field_of_order(q)
+    rng = random.Random(q)
+    for width in (1, 81, 600):
+        for count in (1, 2, 5, 9):
+            rows = [bytes(rng.randrange(q) for _ in range(width)) for _ in range(count)]
+            rows[0] = bytes([q - 1] * width)
+            coeffs = [rng.randrange(q) for _ in range(count)]
+            coeffs[-1] = 0
+            for cs in (coeffs, [1] * count, [q - 1] * count, [0] * count):
+                got = combine_rows(field, cs, rows, width)
+                assert type(got) is bytes and len(got) == width
+                assert got == _per_entry_combination(field, cs, rows, width)
 
 
 def test_inverse_round_trip_and_singular_rejection():

@@ -28,6 +28,7 @@ from mdsrepair.linalg import (
     kernel,
     proj_point,
     rank,
+    subspace_at,
 )
 from mdsrepair.repair import (
     RepairWitness,
@@ -624,6 +625,59 @@ def test_rank_profile_matches_the_reference_profile():
         assert captured  # some candidate holds a column point
 
 
+def _per_entry_profile(code, w):
+    """The rank oracle with M H summed entry by entry: the formulation before combine_rows.
+
+    M is the reduced kernel of W's basis matrix, reduced afresh; the rows
+    of M H add byte by byte through the addition table, the columns are
+    read by zip, each block is ranked by rre_rank with no memo, and a
+    column point lies in W when its column of M H is all zero.
+    """
+    f = code.field
+    q = f.q
+    add, mul = f.add_tab, f.mul_tab
+    ell = code.ell
+    matrix = kernel(w.basis_matrix).basis_matrix
+    out = []
+    for i in range(ell):
+        acc = None
+        for t, c in enumerate(matrix.row(i)):
+            if c:
+                scaled = code.parity_rows[t].translate(mul[c * q : (c + 1) * q] + bytes(256 - q))
+                acc = scaled if acc is None else bytes([add[a * q + b] for a, b in zip(acc, scaled)])
+        out.append(acc)
+    images = list(zip(*out))  # the columns of M H
+    flat = bytes(itertools.chain.from_iterable(images))
+    size = ell * ell
+    dims = [
+        ell - rre_rank(bytearray(flat[j * size : (j + 1) * size]), ell, ell, q, f.sub_tab, mul, f.inv_tab)
+        for j in range(code.n)
+    ]
+    live = bytes(map(any, images))
+    zs = [live[j * ell : (j + 1) * ell].count(0) for j in range(code.n)]
+    return dims, zs, matrix
+
+
+def test_rank_profile_matches_the_per_entry_profile():
+    # every W of each report, and seeded candidates at any position, give
+    # the same dimensions, captured counts and repair matrix through
+    # combine_rows as through the per-entry sums; GF(25) takes the
+    # entry-by-entry branch of combine_rows, with codes above 16
+    rng = random.Random(39)
+    cases = []
+    for code in _witness_mix() + _differential_codes():
+        rep = repair_report(code)
+        cases.append((code, {w.space for nd in rep.nodes for w in (nd.alpha_witness, nd.lambda_witness)}))
+    # the GF(25) code has 406,901 candidates, too many to scan here: sampled W alone
+    cases.append((code_from_intrinsic(desarguesian_spread(25, 2).members[:7]), set()))
+    for code, spaces in cases:
+        wdim = (code.r - 1) * code.ell
+        total = gaussian_binomial(code.ambient_dim, wdim, code.field.q)
+        spaces |= {subspace_at(code.field, code.ambient_dim, wdim, rng.randrange(total)) for _ in range(12)}
+        for w in spaces:
+            assert _rank_profile(code, w) == _per_entry_profile(code, w)
+
+
 def test_oracle_catches_a_wrong_repair_matrix(monkeypatch, capsys, tmp_path):
     # node 0's alpha witness W is profiled through the annihilator of a
     # spread member outside the code, which misses every node: the oracle
@@ -637,13 +691,49 @@ def test_oracle_catches_a_wrong_repair_matrix(monkeypatch, capsys, tmp_path):
     other = next(m for m in desarguesian_spread(3, 2).members if m not in code.node_subspaces)
     assert all(intersect_dim(other, h) == 0 for h in code.node_subspaces)
     assert rep.nodes[0].alpha > 0
-    real = repair.kernel
+    real = repair.annihilator
 
-    def wrong(mat):
-        return real(other.basis_matrix if mat == w.basis_matrix else mat)
+    def wrong(space):
+        return real(other if space == w else space)
 
-    monkeypatch.setattr(repair, "kernel", wrong)
+    monkeypatch.setattr(repair, "annihilator", wrong)
     message = "node 0: the mask scan and the rank oracle disagree on bw"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        repair_report(code)
+    assert cli.run(["repair", "analyze", "--code", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"mdsrepair: verification failed: {message}\n"
+
+
+def test_a_wide_helper_at_the_bound_is_a_verification_failure(monkeypatch, capsys, tmp_path):
+    # the oracle moves one unit of dimension between two helpers of the
+    # alpha witness W of the last node, both of dimension 1: the totals
+    # stay, so the bandwidth cross-check passes, but W now meets a helper
+    # in dimension 2 at the bound.  W is no node's lambda witness, so the
+    # invariant fires only when it reads the alpha witness's W, first at
+    # the lowest node repaired through it; the CLI exits 2 without a
+    # traceback
+    code = _spread_code(3, 6)
+    path = tmp_path / "code.json"
+    path.write_text(serialize(code))
+    rep = repair_report(code)
+    assert rep.exhaustive and all(nd.alpha == rep.point_capacity for nd in rep.nodes)
+    w = rep.nodes[-1].alpha_witness.space
+    assert w not in {nd.lambda_witness.space for nd in rep.nodes}
+    first = min(nd.node for nd in rep.nodes if nd.alpha_witness.space == w)
+    assert first > 0  # a flag over every W of the report would name node 0
+
+    def wide(code, space):
+        dims, zs, matrix = _rank_profile(code, space)
+        if space == w:
+            a, b = [j for j, d in enumerate(dims) if d == 1][:2]
+            dims[a] += 1
+            dims[b] -= 1
+        return dims, zs, matrix
+
+    monkeypatch.setattr(repair, "_rank_profile", wide)
+    message = f"node {first}: bound attained but a helper intersection exceeds dim 1"
     with pytest.raises(AssertionError, match=f"^{message}$"):
         repair_report(code)
     assert cli.run(["repair", "analyze", "--code", str(path)]) == 2
