@@ -204,7 +204,7 @@ class FieldCtx:
         return _encode([d % self.p for d in digits], self.p)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (  # _build_field interns fields, so this is the usual case
             isinstance(other, FieldCtx)
             and self.p == other.p
             and self.m == other.m

@@ -212,22 +212,6 @@ class Subspace:
             self._point_mask = points_mask(self.field, self.ambient_dim, _point_vectors(self))
         return self._point_mask
 
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        f = self.field
-        q = f.q
-        sub, mul = f.sub_tab, f.mul_tab
-        v = list(vec)
-        d = self.ambient_dim
-        for i, p in enumerate(self.pivots):
-            c = v[p]
-            if c:
-                base = i * d
-                for j in range(p, d):
-                    v[j] = sub[v[j] * q + mul[c * q + self.entries[base + j]]]
-        return not any(v)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subspace)

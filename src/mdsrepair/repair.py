@@ -28,7 +28,6 @@ from .linalg import (
     DEFAULT_ENUM_BUDGET,
     MatrixGF,
     Subspace,
-    all_subspaces,
     annihilator,
     combine_rows,
     gaussian_binomial,
@@ -234,6 +233,22 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _nth_bit(mask: int, k: int) -> int:
+    """Position of the set bit of mask with k set bits below it, found by halving the width."""
+    pos = 0
+    while mask > 1:
+        half = mask.bit_length() >> 1
+        low = mask & ((1 << half) - 1)
+        below = low.bit_count()
+        if k < below:
+            mask = low
+        else:
+            k -= below
+            mask >>= half
+            pos += half
+    return pos
 
 
 def _add_bit(planes: list[int], x: int, start: int) -> None:
@@ -526,25 +541,21 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     )
 
 
-@lru_cache(maxsize=64)
-def _pool_masks(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[int, ...]:
-    """Point masks of all_subspaces(field, ambient_dim, dim), in pool order."""
-    return tuple(s.point_mask for s in all_subspaces(field, ambient_dim, dim))
-
-
 def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Random) -> ArrayCode:
     """Sample an (n, n-r, ell) MDS array code over the given field.
 
     Grows the family one member at a time, each a uniform draw among the
     candidate subspaces that stay r-wise independent with the family so
     far; whole-family rejection sampling would almost never terminate at
-    the rarer parameters.  A candidate is independent of r-1 members
-    exactly when it shares no projective point with their span, so once
-    spans start, every candidate whose point mask meets a new span leaves
-    the live list.  The first r-1 members are drawn unchecked; if they span
-    less than (r-1)*ell, no candidate can join them and the attempt ends
-    there, as it does when the live list runs empty.  One rng.randrange per
-    member samples exactly as a walk over a shuffled pool that keeps every
+    the rarer parameters.  The live candidates are one bitset over the
+    positions of the ell-subspaces; a draw rebuilds the k-th by
+    subspace_at.  A candidate is independent of r-1 members exactly when
+    it shares no projective point with their span, so once spans start,
+    the incidence row of each point of a new span leaves the live set.
+    The first r-1 members are drawn unchecked; if they span less than
+    (r-1)*ell, no candidate can join them and the attempt ends there, as
+    it does when the live set runs empty.  One rng.randrange per member
+    samples exactly as a walk over a shuffled pool that keeps every
     candidate that fits: spans only grow, so a candidate the walk skipped
     stays out, and its next member, the first fitting candidate of a
     uniform order, is a uniform draw among those that fit now.  The
@@ -555,14 +566,17 @@ def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Rando
         raise ValueError("need r >= 2")
     if n < r:
         raise ValueError("need n >= r")
-    pool = all_subspaces(field, r * ell, ell)
-    masks = _pool_masks(field, r * ell, ell)
+    d = r * ell
+    inc = subspace_incidence(field, d, ell)
+    size = gaussian_binomial(d, ell, field.q)
     span_dim = (r - 1) * ell
     for _ in range(_RETRY_CAP):
-        live = list(range(len(pool)))
+        live = (1 << size) - 1
         family: list[Subspace] = []
         while live:
-            cand = pool[live.pop(rng.randrange(len(live)))]
+            pos = _nth_bit(live, rng.randrange(live.bit_count()))
+            live ^= 1 << pos
+            cand = subspace_at(field, d, ell, pos)
             # spans through cand start once it makes r-1 members; the last needs none
             if len(family) >= r - 2 and len(family) + 1 < n:
                 spans = [
@@ -570,10 +584,9 @@ def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Rando
                 ]
                 if any(s.dim < span_dim for s in spans):
                     break
-                new = 0
                 for s in spans:
-                    new |= s.point_mask
-                live = [i for i in live if not masks[i] & new]
+                    for b in _bits(s.point_mask):
+                        live &= ~inc[b]
             family.append(cand)
             if len(family) == n:
                 break
@@ -626,8 +639,9 @@ def verify_bound_sweep(
 
     The checks are repair_report's own: a report that fails one raises
     AssertionError, whose message becomes that code's violation.  The
-    sampler's pool, the ell-subspaces of GF(q)^(r*ell), is refused above
-    the cache limit before any length is listed.
+    sampler's pool, the point incidence of the ell-subspaces of
+    GF(q)^(r*ell), is refused above the cache limit before any length is
+    listed.
     """
     from .code import length_bound
     from .gf import field_of_order

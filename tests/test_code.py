@@ -1,13 +1,15 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from mdsrepair import repair
+from mdsrepair import linalg, repair
 from mdsrepair._kernel import rre_rank
 from mdsrepair.code import (
     MDS_CAP,
@@ -26,6 +28,11 @@ from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import MatrixGF, Subspace, all_subspaces, proj_point, rank, subspace_sum
 from mdsrepair.repair import SamplingExhaustedError, random_mds_code
+
+
+def _live_subspaces():
+    gc.collect()
+    return sum(isinstance(obj, Subspace) for obj in gc.get_objects())
 
 
 def _spread_code(q, n):
@@ -72,7 +79,7 @@ def test_intrinsic_rejections():
     members = s.members[:4]
     good = [[proj_point(field, v) for v in mem.basis_rows()] for mem in members]
     outside = proj_point(field, (1, 0, 0, 0))
-    assert not members[1].contains_vector(outside)
+    assert Subspace.from_rows(field, 4, [*members[1].basis_rows(), outside]).dim == 3
     with pytest.raises(ValueError):
         code_from_intrinsic(members, column_points=[good[0], [outside, good[1][1]]] + good[2:])
     with pytest.raises(ValueError):
@@ -540,3 +547,90 @@ def test_random_mds_code_matches_rank_walk(monkeypatch):
     # attempt on a dead family
     assert dependent_by_r[3] > 0 and dependent_by_r[4] > 0
     assert exhausted > 0 and sampled > 0
+
+
+def _pool_walk_mds_code(field, r, ell, n, rng, retry_cap):
+    """random_mds_code as it drew from a list of positions into all_subspaces.
+
+    Each member is popped from a live list in pool order; once spans start,
+    the list keeps the positions whose point mask misses the new spans.
+    Returns the code, or None at the retry cap.
+    """
+    pool = all_subspaces(field, r * ell, ell)
+    for _ in range(retry_cap):
+        live = list(range(len(pool)))
+        family = []
+        while live:
+            cand = pool[live.pop(rng.randrange(len(live)))]
+            if len(family) >= r - 2 and len(family) + 1 < n:
+                spans = [functools.reduce(subspace_sum, group, cand)
+                         for group in itertools.combinations(family, r - 2)]
+                if any(s.dim < (r - 1) * ell for s in spans):
+                    break
+                new = functools.reduce(operator.or_, (s.point_mask for s in spans))
+                live = [i for i in live if not pool[i].point_mask & new]
+            family.append(cand)
+            if len(family) == n:
+                break
+        if len(family) == n:
+            code = code_from_intrinsic(tuple(family))
+            if is_mds(code).ok:
+                return code
+    return None
+
+
+@pytest.mark.parametrize("q, ell, r, cap", [
+    (2, 2, 2, None), (3, 2, 2, None), (2, 2, 3, None), (2, 3, 2, None), (3, 1, 4, 3),
+])
+def test_random_mds_code_draws_as_the_pool_walk(monkeypatch, q, ell, r, cap):
+    # the bitset over the incidence picks the member the list of pool
+    # positions popped, at every length of the sweep mix; (3, 1, 4) has no
+    # code at n = 6, where both sides exhaust a small cap alike
+    if cap is not None:
+        monkeypatch.setattr(repair, "_RETRY_CAP", cap)
+    field = field_of_order(q)
+    outcomes = set()
+    for n in range(r, length_bound(q, ell, r) + 1):
+        for seed in range(5):
+            tag = (q, ell, r, n, seed)
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            ref = _pool_walk_mds_code(field, r, ell, n, ref_rng, repair._RETRY_CAP)
+            try:
+                got = random_mds_code(field, r, ell, n, rng)
+            except SamplingExhaustedError:
+                got = None
+            assert (got is None) == (ref is None), tag
+            if ref is not None:
+                assert serialize(got) == serialize(ref), tag
+            assert rng.getstate() == ref_rng.getstate(), tag
+            outcomes.add(ref is None)
+    assert outcomes == ({False, True} if cap is not None else {False})
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 1_395, 200_787])
+def test_nth_bit_indexes_the_set_bits(width):
+    rng = random.Random(width)
+    for mask in (rng.getrandbits(width) | 1 << (width - 1) | 1, (1 << width) - 1):
+        positions = [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+        ks = {0, len(positions) - 1, *(rng.randrange(len(positions)) for _ in range(5))}
+        for k in ks:
+            assert repair._nth_bit(mask, k) == positions[k], (width, k)
+
+
+def test_sampler_builds_no_subspace_pool(monkeypatch):
+    # the sampler reads the point incidence, built from the pivot sets: it
+    # never enumerates its candidates, and the 1,395 planes of GF(2)^6 do
+    # not outlive a draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler enumerated its candidates")
+
+    for module in (linalg, repair):
+        monkeypatch.setattr(module, "all_subspaces", refuse, raising=False)
+        monkeypatch.setattr(module, "enumerate_subspaces", refuse, raising=False)
+    linalg.subspace_incidence.cache_clear()
+    before = _live_subspaces()
+    for q, ell, r, n in ((2, 3, 2, 6), (2, 2, 3, 5), (3, 1, 3, 4)):
+        code = random_mds_code(field_of_order(q), r, ell, n, random.Random(n))
+        assert is_mds(code).ok
+    assert _live_subspaces() - before < 100
+    assert repair.verify_bound_sweep(2, 2, 3, trials=2, seed=1).ok

@@ -1,10 +1,11 @@
-"""Source hygiene: a ceiling on the package's options, and no unused imports."""
+"""Source hygiene: ceilings on the package's options and caches, and no unused imports."""
 import ast
 from pathlib import Path
 
 import mdsrepair
 
 KNOB_CEILING = 12
+CACHE_CEILING = 11
 
 
 def _knobs():
@@ -28,6 +29,29 @@ def test_knob_count_stays_under_the_ceiling():
     assert len(knobs) <= KNOB_CEILING, (
         f"{len(knobs)} parameters with a default in src/mdsrepair, above the ceiling of "
         f"{KNOB_CEILING}: {knobs}; raising the ceiling needs a justification in CHANGES.md"
+    )
+
+
+def _caches():
+    """module:function for every lru_cache or cached_property decorator in the package source."""
+    found = []
+    for path in sorted(Path(mdsrepair.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cached_property"):
+                    found.append(f"{path.stem}:{node.name}")
+    return found
+
+
+def test_cache_count_stays_under_the_ceiling():
+    caches = _caches()
+    assert len(caches) <= CACHE_CEILING, (
+        f"{len(caches)} cached functions in src/mdsrepair, above the ceiling of "
+        f"{CACHE_CEILING}: {caches}; raising the ceiling needs a justification in CHANGES.md"
     )
 
 

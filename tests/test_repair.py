@@ -325,7 +325,7 @@ def test_cold_scan_keeps_no_candidate_subspaces(monkeypatch):
         raise AssertionError("the scan enumerated the candidates")
 
     monkeypatch.setattr(linalg, "all_subspaces", refuse)
-    monkeypatch.setattr(repair, "all_subspaces", refuse)
+    monkeypatch.setattr(repair, "all_subspaces", refuse, raising=False)
     monkeypatch.setattr(linalg, "enumerate_subspaces", refuse)
     monkeypatch.setattr(repair, "enumerate_subspaces", refuse, raising=False)
     for limit in (linalg._CACHE_LIMIT, 1):  # cached, then streamed
@@ -573,6 +573,12 @@ def test_oracle_disagreement_is_a_verification_failure(index, cost, monkeypatch,
     assert re.fullmatch(rf"mdsrepair: verification failed: node \d+: {message}\n", err)
 
 
+def _contains(space, vec):
+    """vec lies in space exactly when adding it leaves the dimension unchanged."""
+    rows = [*space.basis_rows(), vec]
+    return Subspace.from_rows(space.field, space.ambient_dim, rows).dim == space.dim
+
+
 def _reference_profile(code, w):
     """The rank oracle by row reduction and membership tests.
 
@@ -580,7 +586,7 @@ def _reference_profile(code, w):
     z_j from a membership test of each column point in W.
     """
     dims = [intersect_dim(w, h) for h in code.node_subspaces]
-    zs = [sum(w.contains_vector(p) for p in plist) for plist in code.column_points]
+    zs = [sum(_contains(w, p) for p in plist) for plist in code.column_points]
     return dims, zs
 
 
