@@ -10,7 +10,6 @@ from .code import (
     ArrayCode,
     CodewordArr,
     MdsCheck,
-    code_from_blocks,
     code_from_intrinsic,
     codeword_space,
     deserialize,

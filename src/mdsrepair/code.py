@@ -1,69 +1,80 @@
 """MDS array codes presented by block parity check matrices.
 
-A code with n nodes, r = n - k parities and sub packetization ell is held
-as n blocks H_i in F_q^(r*ell x ell), all of full column rank.  Each block
-is equivalently a node subspace (its column space) plus a list of ell
-projective column points, each the normalised tuple of linalg.proj_point;
-each column of a block is a nonzero multiple of its column point, in
-matching order.  ArrayCode checks this once, when the code is built, so
-the repair scan and its oracle read points and blocks interchangeably.
+A code with n nodes, r = n - k parities and sub packetization ell is its n
+blocks H_i in F_q^(r*ell x ell), all of full column rank: the parity check
+matrix is H = [H_1 | ... | H_n].  Node i's subspace (the column space of
+H_i) and its ell projective column points (the normalised tuples of
+linalg.proj_point of H_i's columns, in order) are read off the blocks once,
+when the code is built, so the repair scan and its oracle read points and
+blocks interchangeably.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from ._kernel import rre_rank, rref_rank
+from ._kernel import rre_rank
 from .gf import FieldCtx, make_field
-from .linalg import MatrixGF, Subspace, kernel, proj_point
+from .linalg import MatrixGF, Subspace, _span, kernel, proj_point
 
 MDS_CAP = 10**6  # most r-subsets of blocks is_mds checks
 
 
+def _derived():
+    return dataclasses.field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class ArrayCode:
-    """An (n, k, ell) array code: per node a block, its column space and its column points.
+    """An (n, k, ell) array code, given by its parity blocks.
 
-    Every construction, replace included, checks the code once and refuses
-    an inconsistent one with ValueError.  Per node, the column points must
-    be ell normalised points spanning the node subspace, so a subspace W
-    holds at most dim(W meet H_j) of them; and each block column must be a
-    nonzero multiple of its point, so M kills the column exactly when M
-    kills the point.
+    ArrayCode(field, blocks), replace included, derives n, ell, k = n - r,
+    each node subspace and each node's column points from the blocks in one
+    pass, and refuses with ValueError blocks of unequal shape or field, a
+    row count that is not a positive multiple of ell, fewer than r blocks,
+    a block without full column rank, and nodes that do not span the
+    parity space.  Each block column is then a nonzero multiple of its
+    point, so M kills the column exactly when M kills the point, and a
+    subspace W holds at most dim(W meet H_j) of node j's column points.
     """
 
     field: FieldCtx
-    n: int
-    k: int
-    ell: int
     blocks: tuple[MatrixGF, ...]
-    node_subspaces: tuple[Subspace, ...]
-    column_points: tuple[tuple[tuple[int, ...], ...], ...]
+    n: int = _derived()
+    k: int = _derived()
+    ell: int = _derived()
+    node_subspaces: tuple[Subspace, ...] = _derived()
+    column_points: tuple[tuple[tuple[int, ...], ...], ...] = _derived()
 
     def __post_init__(self) -> None:
-        f, d, ell = self.field, self.ambient_dim, self.ell
-        tables = (f.q, f.sub_tab, f.mul_tab, f.inv_tab)
-        if not len(self.blocks) == len(self.node_subspaces) == len(self.column_points) == self.n:
-            raise ValueError("need one block, node subspace and point list per node")
-        for h, block, plist in zip(self.node_subspaces, self.blocks, self.column_points):
-            if len(plist) != ell or any(len(p) != d for p in plist):
-                raise ValueError("need ell column points per node")
-            span = bytearray(b"".join(map(bytes, plist)))  # reduced in place, as h is
-            if rref_rank(span, ell, d, *tables) < ell:
-                raise ValueError("column points must be independent")
-            if span != h.packed:
-                raise ValueError("column point outside its node subspace")
-            if any(next(filter(None, p)) != 1 for p in plist):
-                raise ValueError("column points must be normalised")
-            if block.field != f or (block.rows, block.cols) != (d, ell):
-                raise ValueError("blocks must share field and shape")
-            for t, p in enumerate(plist):
-                col = block.col(t)
-                if col != p and proj_point(f, col) != p:
-                    raise ValueError("block columns are not multiples of their column points")
+        f, blocks = self.field, tuple(self.blocks)
+        if not blocks:
+            raise ValueError("need at least one block")
+        d, ell = blocks[0].rows, blocks[0].cols
+        if ell < 1:
+            raise ValueError("blocks must have at least one column")
+        if any(b.field != f or (b.rows, b.cols) != (d, ell) for b in blocks):
+            raise ValueError("blocks must share field and shape")
+        if d % ell:
+            raise ValueError("ambient dimension must be a multiple of ell")
+        r = d // ell
+        if r < 1 or len(blocks) < r:
+            raise ValueError("need r >= 1 and at least r nodes")
+        points = tuple(tuple(proj_point(f, b.col(t)) for t in range(ell)) for b in blocks)
+        subspaces = tuple(_span(f, d, bytearray(b"".join(map(bytes, p))), ell) for p in points)
+        if any(h.dim < ell for h in subspaces):
+            raise ValueError("blocks must have full column rank")
+        span = bytearray(b"".join(h.packed for h in subspaces))
+        if rre_rank(span, len(blocks) * ell, d, f.q, f.sub_tab, f.mul_tab, f.inv_tab) < d:
+            raise ValueError("node subspaces do not span the parity space")
+        derived = {"blocks": blocks, "n": len(blocks), "k": len(blocks) - r, "ell": ell,
+                   "node_subspaces": subspaces, "column_points": points}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def r(self) -> int:
@@ -101,21 +112,6 @@ class CodewordArr:
         return tuple(itertools.chain.from_iterable(self.blocks))
 
 
-def _span_check(field: FieldCtx, subspaces: Sequence[Subspace], ambient: int) -> None:
-    rows: list[tuple[int, ...]] = []
-    for s in subspaces:
-        rows.extend(s.basis_rows())
-    if Subspace.from_rows(field, ambient, rows).dim != ambient:
-        raise ValueError("node subspaces do not span the parity space")
-
-
-def _points_to_block(
-    field: FieldCtx, ambient: int, points: Sequence[tuple[int, ...]]
-) -> MatrixGF:
-    entries = tuple(itertools.chain.from_iterable(zip(*points)))  # short points fail the shape
-    return MatrixGF(field, ambient, len(points), entries)
-
-
 def code_from_intrinsic(
     subspaces: Sequence[Subspace],
     *,
@@ -125,70 +121,28 @@ def code_from_intrinsic(
 
     Without explicit points, each block's columns are the reduced basis
     vectors of its subspace, ordered lexicographically.  Explicit points
-    are normalised by proj_point and must be ell points spanning the node
-    subspace; the block's columns are the points themselves.
+    are normalised by proj_point and the block's columns are the points
+    themselves; they must be ell points spanning their node subspace.
     """
     if not subspaces:
         raise ValueError("need at least one node subspace")
-    field = subspaces[0].field
-    ambient = subspaces[0].ambient_dim
-    ell = subspaces[0].dim
-    if ell < 1:
-        raise ValueError("node subspaces must have positive dimension")
-    if ambient % ell:
-        raise ValueError("ambient dimension must be a multiple of ell")
-    r = ambient // ell
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    n = len(subspaces)
-    if n < r:
-        raise ValueError("need at least r nodes")
-    for s in subspaces:
-        if s.field != field or s.ambient_dim != ambient or s.dim != ell:
-            raise ValueError("node subspaces must share field, ambient and dimension")
-    _span_check(field, subspaces, ambient)
-
     if column_points is None:
-        points = [tuple(sorted(s.basis_rows())) for s in subspaces]  # reduced rows are normalised
+        points = [sorted(s.basis_rows()) for s in subspaces]  # reduced rows are normalised
+    elif len(column_points) != len(subspaces):
+        raise ValueError("need one point list per node")
     else:
-        if len(column_points) != n:
-            raise ValueError("need one point list per node")
-        points = [tuple(proj_point(field, p) for p in given) for given in column_points]
-
-    blocks = tuple(_points_to_block(field, ambient, plist) for plist in points)
-    return ArrayCode(field, n, n - r, ell, blocks, tuple(subspaces), tuple(points))
-
-
-def code_from_blocks(field: FieldCtx, blocks: Sequence[MatrixGF]) -> ArrayCode:
-    """Build a code from explicit parity blocks.
-
-    Column points are read off the blocks, so each block must have full
-    column rank.
-    """
-    if not blocks:
-        raise ValueError("need at least one block")
-    ambient = blocks[0].rows
-    ell = blocks[0].cols
-    if ell < 1:
-        raise ValueError("blocks must have at least one column")
-    subspaces = []
-    points = []
-    for b in blocks:
-        if b.field != field or b.rows != ambient or b.cols != ell:
-            raise ValueError("blocks must share field and shape")
-        subspaces.append(Subspace.from_matrix_columns(b))
-        if subspaces[-1].dim != ell:
-            raise ValueError("blocks must have full column rank")
-        points.append(tuple(proj_point(field, b.col(j)) for j in range(ell)))
-    if ambient % ell:
-        raise ValueError("ambient dimension must be a multiple of ell")
-    r = ambient // ell
-    if r < 1 or len(blocks) < r:
-        raise ValueError("need r >= 1 and at least r nodes")
-    _span_check(field, subspaces, ambient)
-    return ArrayCode(
-        field, len(blocks), len(blocks) - r, ell, tuple(blocks), tuple(subspaces), tuple(points)
-    )
+        points = [
+            [proj_point(s.field, p) for p in given] for s, given in zip(subspaces, column_points)
+        ]
+    # a block's columns are its points; short points fail the shape
+    blocks = [
+        MatrixGF(s.field, s.ambient_dim, len(pts), tuple(itertools.chain.from_iterable(zip(*pts))))
+        for s, pts in zip(subspaces, points)
+    ]
+    code = ArrayCode(subspaces[0].field, blocks)
+    if code.node_subspaces != tuple(subspaces):
+        raise ValueError("column point outside its node subspace")
+    return code
 
 
 @dataclass(frozen=True)
@@ -210,12 +164,10 @@ class MdsCheck:
 def is_mds(code: ArrayCode) -> MdsCheck:
     """Check that every r-subset of blocks forms an invertible square matrix.
 
-    Runs both the matrix rank form and the subspace direct sum form on each
-    subset and insists they agree.  Each block's columns, taken as rows
-    (rank H_S = rank of its transpose), and each node subspace's reduced
-    basis are packed once per code; a subset joins the bytes of its
-    members and ranks each form with one rre_rank call.  More than MDS_CAP
-    subsets are not checked: the status is then "cap_exceeded".
+    Each block's columns, taken as rows (rank H_S = rank of its
+    transpose), are packed once per code; a subset joins the bytes of its
+    members and is ranked by one rre_rank call.  More than MDS_CAP subsets
+    are not checked: the status is then "cap_exceeded".
     """
     r = code.r
     total = 1
@@ -226,27 +178,25 @@ def is_mds(code: ArrayCode) -> MdsCheck:
     f = code.field
     tables = (f.q, f.sub_tab, f.mul_tab, f.inv_tab)
     ambient = code.ambient_dim
-    rows = r * code.ell
     columns = bytes(itertools.chain.from_iterable(zip(*code.parity_rows)))
     size = code.ell * ambient
     block_rows = [columns[j * size : (j + 1) * size] for j in range(code.n)]
-    basis_rows = [s.packed for s in code.node_subspaces]
     checked = 0
     for subset in itertools.combinations(range(code.n), r):
         checked += 1
         square = bytearray(b"".join([block_rows[i] for i in subset]))
-        invertible = rre_rank(square, rows, ambient, *tables) == ambient
-        stacked = bytearray(b"".join([basis_rows[i] for i in subset]))
-        direct = rre_rank(stacked, rows, ambient, *tables) == ambient
-        if invertible != direct:
-            raise AssertionError("matrix and subspace MDS forms disagree")
-        if not invertible:
+        if rre_rank(square, ambient, ambient, *tables) < ambient:
             return MdsCheck("not_mds", checked, subset)
     return MdsCheck("mds", checked)
 
 
 def length_bound(q: int, ell: int, r: int) -> int:
-    """Largest n for which an (n, n-r, ell) MDS array code over GF(q) exists."""
+    """The upper bound q^ell + r - 1 on n for an (n, n-r, ell) MDS array code over GF(q).
+
+    Not every length up to it is reached: over GF(2) with ell = 2 and r = 4
+    it is 7, but no such code is longer than 5.  verify_bound_sweep's
+    default lengths walk up to it.
+    """
     if r < 2:
         raise ValueError("the length bound needs r >= 2")
     if q < 2 or ell < 1:
@@ -315,7 +265,7 @@ def deserialize(text: str) -> ArrayCode:
     if len(block_rows) != n or len(point_rows) != n:
         raise ValueError("blocks and column_points must list one entry per node")
     blocks = [MatrixGF.from_rows(field, rows) for rows in block_rows]
-    code = code_from_blocks(field, blocks)
+    code = ArrayCode(field, blocks)
     if code.k != k or code.ell != ell:
         raise ValueError("declared k or ell does not match the blocks")
     for derived, stated in zip(code.column_points, point_rows):

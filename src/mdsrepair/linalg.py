@@ -184,11 +184,6 @@ class Subspace:
         return _span(field, ambient_dim, bytearray(flat), count)
 
     @classmethod
-    def from_matrix_columns(cls, mat: MatrixGF) -> Subspace:
-        """Column space of mat."""
-        return cls.from_rows(mat.field, mat.rows, [mat.col(j) for j in range(mat.cols)])
-
-    @classmethod
     def zero(cls, field: FieldCtx, ambient_dim: int) -> Subspace:
         return cls(field, ambient_dim, 0, (), ())
 

@@ -432,13 +432,13 @@ def test_check_strictness_reports_a_failed_report_as_a_violation(capsys, monkeyp
 
 def test_internal_check_failure_is_exit_2_without_traceback(capsys, monkeypatch):
     def broken(cfg):
-        raise AssertionError("matrix and subspace MDS forms disagree")
+        raise AssertionError("every probe meets node 0")
 
     monkeypatch.setitem(cli._HANDLERS, "bound", broken)
     code, out, err = _run(capsys, ["bound", "--n", "6", "--r", "2", "--ell", "2", "--q", "3"])
     assert code == 2
     assert out == ""
-    assert err == "mdsrepair: verification failed: matrix and subspace MDS forms disagree\n"
+    assert err == "mdsrepair: verification failed: every probe meets node 0\n"
 
 
 def test_stdin_pipe_between_subcommands():

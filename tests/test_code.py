@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from mdsrepair.code import (
     MDS_CAP,
     ArrayCode,
     MdsCheck,
-    code_from_blocks,
     code_from_intrinsic,
     codeword_space,
     deserialize,
@@ -23,11 +23,12 @@ from mdsrepair.code import (
     length_bound,
     serialize,
 )
-from mdsrepair.constructions import build_exceptional
+from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import MatrixGF, Subspace, all_subspaces, proj_point, rank, subspace_sum
 from mdsrepair.repair import SamplingExhaustedError, random_mds_code
+from test_repair import _differential_codes, _witness_mix
 
 
 def _live_subspaces():
@@ -80,7 +81,7 @@ def test_intrinsic_rejections():
     good = [[proj_point(field, v) for v in mem.basis_rows()] for mem in members]
     outside = proj_point(field, (1, 0, 0, 0))
     assert Subspace.from_rows(field, 4, [*members[1].basis_rows(), outside]).dim == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^column point outside its node subspace$"):
         code_from_intrinsic(members, column_points=[good[0], [outside, good[1][1]]] + good[2:])
     with pytest.raises(ValueError):
         code_from_intrinsic(members, column_points=[[good[0][0], good[0][0]]] + good[1:])
@@ -92,9 +93,9 @@ def test_intrinsic_rejections():
         code_from_intrinsic(members[:1])  # a single node cannot span the parity space
 
 
-def test_code_from_blocks_round_trip():
+def test_array_code_from_blocks_round_trip():
     original = _spread_code(3, 5)
-    rebuilt = code_from_blocks(original.field, original.blocks)
+    rebuilt = ArrayCode(original.field, original.blocks)
     assert rebuilt.node_subspaces == original.node_subspaces
     assert rebuilt.column_points == original.column_points
     assert rebuilt.blocks == original.blocks
@@ -180,78 +181,107 @@ def test_is_mds_matches_the_reference_check():
     assert statuses == {"mds", "not_mds"}
 
 
-def test_is_mds_raises_when_blocks_and_subspaces_disagree(monkeypatch):
-    # ArrayCode refuses blocks and subspaces that disagree, so the kernel
-    # disagrees instead: the matrix form's rank (call 1) or the subspace
-    # form's (call 2) of the first subset comes back one short
-    code = _spread_code(3, 5)
-    assert is_mds(code).ok
-    for short in (1, 2):
-        calls = []
-
-        def one_short(*args):
-            calls.append(args)
-            return rre_rank(*args) - (len(calls) == short)
-
-        monkeypatch.setattr("mdsrepair.code.rre_rank", one_short)
-        with pytest.raises(AssertionError, match="^matrix and subspace MDS forms disagree$"):
-            is_mds(code)
-        assert len(calls) == 2
-
-
-def _collinear_columns_code():
-    """An ell = 3 code whose nodes 1 and 3 each have three collinear column points."""
-    code = random_mds_code(field_of_order(2), 2, 3, 4, random.Random(7))
-    f = code.field
-    points = list(code.column_points)
-    for j in (1, 3):
-        a, b = code.node_subspaces[j].basis_rows()[:2]
-        c = [f.add(x, y) for x, y in zip(a, b)]
-        points[j] = (proj_point(f, a), proj_point(f, b), proj_point(f, c))
-    return dataclasses.replace(code, column_points=tuple(points))
-
-
-def _outside_point_code():
-    """q3n6 with node 1's column points given to node 0."""
-    code = build_exceptional("q3n6")[0]
-    points = list(code.column_points)
-    points[0] = code.column_points[1]
-    return dataclasses.replace(code, column_points=tuple(points))
-
-
-def _mismatched_blocks_code():
-    """Node 1's block replaced by node 0's, its points and subspace kept."""
-    code = _spread_code(3, 5)
-    return dataclasses.replace(code, blocks=(code.blocks[0], code.blocks[0]) + code.blocks[2:])
-
-
-def _swapped_subspaces_code():
-    """The subspaces of nodes 0 and 1 swapped, blocks and points kept."""
-    code = _spread_code(3, 5)
-    subs = code.node_subspaces
-    return dataclasses.replace(code, node_subspaces=(subs[1], subs[0]) + subs[2:])
-
-
-def _dependent_block_code():
-    """A direct ArrayCode whose block 0 repeats its first column."""
-    code = _spread_code(3, 5)
+def _dependent_block(code):
+    """Block 0 repeats its first column."""
     col = code.blocks[0].col(0)
-    dependent = MatrixGF(code.field, 4, 2, tuple(x for x in col for _ in range(2)))
-    return ArrayCode(code.field, code.n, code.k, code.ell, (dependent,) + code.blocks[1:],
-                     code.node_subspaces, code.column_points)
+    return (MatrixGF(code.field, 4, 2, tuple(x for x in col for _ in range(2))),) + code.blocks[1:]
 
 
-@pytest.mark.parametrize("build, message", [
-    (_collinear_columns_code, "column points must be independent"),
-    (_outside_point_code, "column point outside its node subspace"),
-    (_mismatched_blocks_code, "block columns are not multiples of their column points"),
-    (_swapped_subspaces_code, "column point outside its node subspace"),
-    (_dependent_block_code, "block columns are not multiples of their column points"),
-], ids=["collinear", "outside", "blocks", "swapped", "direct"])
-def test_construction_refuses_an_inconsistent_code(build, message):
-    # every way of building a code runs ArrayCode's one consistency check
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        build()
+def _collinear_block(code):
+    """Block 1 of an ell = 3 code gets columns a, b and a + b."""
+    f = code.field
+    a, b = code.blocks[1].col(0), code.blocks[1].col(1)
+    c = tuple(f.add(x, y) for x, y in zip(a, b))
+    collinear = MatrixGF(f, 6, 3, tuple(itertools.chain.from_iterable(zip(a, b, c))))
+    return code.blocks[:1] + (collinear,) + code.blocks[2:]
+
+
+def _zero_column_block(code):
+    """Block 2's second column is zero."""
+    zeroed = tuple(x if t % 2 == 0 else 0 for t, x in enumerate(code.blocks[2].entries))
+    return code.blocks[:2] + (MatrixGF(code.field, 4, 2, zeroed),) + code.blocks[3:]
+
+
+def _other_field_block(code):
+    """Block 0 re-entered over GF(5)."""
+    return (MatrixGF(field_of_order(5), 4, 2, code.blocks[0].entries),) + code.blocks[1:]
+
+
+def _spread_ell3_code():
+    return code_from_intrinsic(desarguesian_spread(2, 3).members[:4])
+
+
+_q3n5 = functools.partial(_spread_code, 3, 5)
+
+# each refusal: the code it starts from, the blocks it is given and the message
+_REFUSALS = {
+    "empty": (_q3n5, lambda c: (), "need at least one block"),
+    "no-columns": (_q3n5, lambda c: (MatrixGF(c.field, 4, 0, ()),) * 5,
+                   "blocks must have at least one column"),
+    "rows": (_q3n5, lambda c: (MatrixGF(c.field, 5, 2, (1,) * 10),) * 5,
+             "ambient dimension must be a multiple of ell"),
+    "no-rows": (_q3n5, lambda c: (MatrixGF(c.field, 0, 2, ()),) * 5,
+                "need r >= 1 and at least r nodes"),
+    "few": (_q3n5, lambda c: c.blocks[:1], "need r >= 1 and at least r nodes"),
+    "shape": (_q3n5, lambda c: c.blocks[:4] + (MatrixGF(c.field, 4, 1, (1, 0, 0, 0)),),
+              "blocks must share field and shape"),
+    "field": (_q3n5, _other_field_block, "blocks must share field and shape"),
+    "zero-column": (_q3n5, _zero_column_block, "the zero vector spans no projective point"),
+    "dependent": (_q3n5, _dependent_block, "blocks must have full column rank"),
+    "collinear": (_spread_ell3_code, _collinear_block, "blocks must have full column rank"),
+    "span": (_q3n5, lambda c: c.blocks[:1] * 5, "node subspaces do not span the parity space"),
+}
+
+
+@pytest.mark.parametrize("route", ["init", "replace"])
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_array_code_refuses_bad_blocks(case, route):
+    # ArrayCode(field, blocks) and replace(code, blocks=...) run the same
+    # checks; each refusal keeps its own message
+    build, make_blocks, message = _REFUSALS[case]
+    code = build()
+    blocks = make_blocks(code)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if route == "init":
+            ArrayCode(code.field, blocks)
+        else:
+            dataclasses.replace(code, blocks=blocks)
+
+
+def _derived_state_codes():
+    """The repair suites' differential codes, random families and the CLI's three codes."""
+    rng = random.Random(61)
+    codes = _differential_codes() + _witness_mix()
+    for q, ell, r in ((3, 2, 2), (2, 2, 3)):
+        codes += _random_families(q, ell, r, 10, rng)
+    codes += [build_two_parity_code(3, 2, 8)[0], build_exceptional("q4n9")[0],
+              build_two_parity_code(4, 2, 17)[0]]
+    return codes
+
+
+def test_derived_state_matches_independent_constructions(monkeypatch):
+    # node subspaces and column points are read off the blocks; equality is
+    # the blocks', and is_mds ranks each subset it checks once
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rre_rank(*args)
+
+    for c in _derived_state_codes():
+        f, d = c.field, c.ambient_dim
+        for j, block in enumerate(c.blocks):
+            cols = [block.col(t) for t in range(c.ell)]
+            assert c.node_subspaces[j] == Subspace.from_rows(f, d, cols)
+            assert c.column_points[j] == tuple(proj_point(f, col) for col in cols)
+        back = deserialize(serialize(c))
+        assert back == c and back.column_points == c.column_points
+        assert dataclasses.replace(c, blocks=c.blocks) == c
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr("mdsrepair.code.rre_rank", counting)
+            chk = is_mds(c)
+        assert len(calls) == chk.subsets_checked > 0
 
 
 def test_length_bound_values():

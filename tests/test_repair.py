@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mdsrepair import cli, linalg, repair
 from mdsrepair._kernel import rre_rank
-from mdsrepair.code import code_from_blocks, code_from_intrinsic, serialize
+from mdsrepair.code import ArrayCode, code_from_intrinsic, serialize
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
@@ -605,7 +605,7 @@ def _explicit_points_codes():
                        proj_point(f, [f.sub(x, y) for x, y in zip(a, b)])])
     explicit = code_from_intrinsic(members, column_points=points)
     doubled = [tuple(f.mul(2, x) for x in b.entries) for b in explicit.blocks]
-    scaled = code_from_blocks(f, [MatrixGF(f, 4, 2, entries) for entries in doubled])
+    scaled = ArrayCode(f, [MatrixGF(f, 4, 2, entries) for entries in doubled])
     assert explicit.column_points != tuple(tuple(sorted(m.basis_rows())) for m in members)
     assert scaled.column_points == explicit.column_points and scaled.blocks != explicit.blocks
     return [explicit, scaled]
