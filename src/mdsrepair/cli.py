@@ -118,7 +118,7 @@ def _report_rows(report: RepairReport) -> list[dict]:
 def _print_report(report: RepairReport, fmt: str) -> None:
     rows = _report_rows(report)
     if fmt == "csv":
-        w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+        w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
         return

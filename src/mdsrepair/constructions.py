@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .code import ArrayCode, code_from_intrinsic, is_mds
-from .gf import ExtensionCtx, field_of_order, make_extension
+from .gf import ExtensionCtx, extension_order, field_of_order, make_extension
 from .geometry import (
     INF,
     Label,
@@ -169,6 +169,7 @@ def build_two_parity_code(
         raise ValueError("the two parity construction needs q >= 3")
     if ell < 2:
         raise ValueError("the two parity construction needs ell >= 2")
+    extension_order(q, ell)  # sizes q^ell before any power is taken
     t = projective_point_count(ell, q)
     lo = min(2 * t, 3 * t - 6)
     hi = q**ell + 1
@@ -250,14 +251,12 @@ def _base_line(ext: ExtensionCtx) -> frozenset[Label]:
     return frozenset(ext.embed_tab) | {INF}
 
 
-def hit_set(
-    w: Subspace, ext: ExtensionCtx, *, g: Sequence[Sequence[int]] | None = None
-) -> frozenset[Label]:
-    """Mirror spread labels whose members meet w.
+def hit_set(w: Subspace, ext: ExtensionCtx, *, g: Sequence[Sequence[int]]) -> frozenset[Label]:
+    """Mirror spread labels whose members meet w, the image of GF(q)^2 under g.
 
-    A non member w meets each hit member in a line, never more.  When w is
-    the image of GF(q)^2 under a known g, pass it: the result is then also
-    checked against the fractional linear image of P^1(GF(q)).
+    A non member w meets each hit member in a line, never more, and the
+    result is checked against the fractional linear image of P^1(GF(q))
+    under g.
     """
     spread = _mirror_spread(ext)
     hits = spread.meets(w)
@@ -266,10 +265,8 @@ def hit_set(
     ):
         raise AssertionError("non member meets a spread member off a line")
     out = frozenset(spread.labels[j] for j in hits)
-    if g is not None:
-        image = frozenset(mobius_image(ext, g, s) for s in _base_line(ext))
-        if image != out:
-            raise AssertionError("hit set disagrees with its fractional linear image")
+    if out != frozenset(mobius_image(ext, g, s) for s in _base_line(ext)):
+        raise AssertionError("hit set disagrees with its fractional linear image")
     return out
 
 

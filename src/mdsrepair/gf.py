@@ -6,6 +6,10 @@ first.  The prime subfield therefore sits at encodings 0..p-1 and the
 residue class of x has encoding p.  Flat lookup tables are built for
 fields of at most TABLE_LIMIT elements; larger fields fall back to
 on-the-fly polynomial arithmetic and cannot back matrix computations.
+An extension GF(q^ell) over GF(q) reads its elements in the power basis
+1, y, .., y^(ell-1), y the class of x in the top field: coordinates map
+to an element by one sum, and back by a lookup in a table of all q^ell
+coordinate vectors.
 """
 from __future__ import annotations
 
@@ -297,9 +301,10 @@ class ExtensionCtx:
     """GF(q^ell) viewed as an ell dimensional vector space over GF(q).
 
     Both fields are realised over the common prime field; the subfield is
-    mapped in through the smallest root of its modulus in the top field,
-    and coordinates refer to the power basis 1, x, .., x^(ell-1) of the
-    top field generator.
+    mapped in through the smallest root of its modulus in the top field.
+    Coordinates refer to the power basis 1, y, .., y^(ell-1), y the class
+    of x in the top field: from_coords sums embed(v_j) * y^j, and to_coords
+    is a lookup in the table of all q^ell coordinate vectors, built once.
     """
 
     __slots__ = (
@@ -308,8 +313,8 @@ class ExtensionCtx:
         "ell",
         "embed_tab",
         "_lift",
-        "_coord_mat",
-        "_coord_inv",
+        "_y_pows",
+        "_coords",
     )
 
     def __init__(self, base: FieldCtx, top: FieldCtx, ell: int):
@@ -347,26 +352,21 @@ class ExtensionCtx:
         self._lift = {t: c for c, t in enumerate(tab)}
 
     def _build_coords(self) -> None:
-        # GF(p) linear map from power basis coordinates to top field digits.
-        base, top, ell = self.base, self.top, self.ell
-        p, m = base.p, base.m
-        dim = m * ell
+        # the coordinates of every element, one power of y at a time: after
+        # j powers the table maps each sum over them to its j coordinates
+        base, top = self.base, self.top
         y = base.p % top.q  # residue class of x, unused when ell == 1
         y_pows = [1]
-        for _ in range(ell - 1):
+        for _ in range(self.ell - 1):
             y_pows.append(top.mul(y_pows[-1], y))
-        cols = []
-        for j in range(ell):
-            for t in range(m):
-                c = base.from_poly([1 if i == t else 0 for i in range(m)])
-                val = top.mul(self.embed_tab[c], y_pows[j])
-                cols.append(_digits(val, p, dim))
-        mat = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-        inv = _invert_mod_p(mat, p)
-        if inv is None:
+        table = {0: ()}
+        for y_pow in y_pows:
+            scaled = [(c, top.mul(self.embed_tab[c], y_pow)) for c in base.elements()]
+            table = {top.add(a, s): v + (c,) for c, s in scaled for a, v in table.items()}
+        if len(table) != top.q:
             raise RuntimeError("power basis coordinate map is singular")
-        self._coord_mat = mat
-        self._coord_inv = inv
+        self._y_pows = tuple(y_pows)
+        self._coords = tuple(table[a] for a in top.elements())
 
     def embed(self, c: int) -> int:
         self.base.check(c)
@@ -380,23 +380,16 @@ class ExtensionCtx:
 
     def to_coords(self, a: int) -> tuple[int, ...]:
         self.top.check(a)
-        p, m = self.base.p, self.base.m
-        dim = m * self.ell
-        dig = _digits(a, p, dim)
-        sol = [sum(self._coord_inv[r][c] * dig[c] for c in range(dim)) % p for r in range(dim)]
-        return tuple(_encode(sol[j * m : (j + 1) * m], p) for j in range(self.ell))
+        return self._coords[a]
 
     def from_coords(self, vec: Sequence[int]) -> int:
         if len(vec) != self.ell:
             raise ValueError(f"expected {self.ell} coordinates")
-        p, m = self.base.p, self.base.m
-        dim = m * self.ell
-        dig = []
-        for v in vec:
-            self.base.check(v)
-            dig.extend(_digits(v, p, m))
-        out = [sum(self._coord_mat[r][c] * dig[c] for c in range(dim)) % p for r in range(dim)]
-        return _encode(out, p)
+        top = self.top
+        acc = 0
+        for v, y_pow in zip(vec, self._y_pows):
+            acc = top.add(acc, top.mul(self.embed(v), y_pow))
+        return acc
 
     def norm(self, a: int) -> int:
         """Product of the GF(q) conjugates of a, an element of the base field."""
@@ -432,25 +425,6 @@ class ExtensionCtx:
 
     def __repr__(self) -> str:
         return f"GF({self.top.q})/GF({self.base.q})"
-
-
-def _invert_mod_p(mat: list[list[int]], p: int) -> list[list[int]] | None:
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if aug[r][col] % p), None)
-        if piv is None:
-            return None
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        f = pow(aug[rank][col], p - 2, p)
-        aug[rank] = [x * f % p for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col]:
-                g = aug[r][col]
-                aug[r] = [(x - g * y) % p for x, y in zip(aug[r], aug[rank])]
-        rank += 1
-    return [row[n:] for row in aug]
 
 
 @functools.lru_cache(maxsize=None)

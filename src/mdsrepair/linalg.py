@@ -110,11 +110,6 @@ class MatrixGF:
             out.append(acc)
         return tuple(out)
 
-    def stack(self, other: MatrixGF) -> MatrixGF:
-        if self.field != other.field or self.cols != other.cols:
-            raise ValueError("shape or field mismatch")
-        return MatrixGF(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MatrixGF)
@@ -182,10 +177,6 @@ class Subspace:
             flat.extend(field.check(x) for x in row)
             count += 1
         return _span(field, ambient_dim, bytearray(flat), count)
-
-    @classmethod
-    def zero(cls, field: FieldCtx, ambient_dim: int) -> Subspace:
-        return cls(field, ambient_dim, 0, (), ())
 
     @property
     def basis_matrix(self) -> MatrixGF:
@@ -331,17 +322,10 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    """U meet V via the left kernel of the stacked basis matrix."""
+    """U meet V as the annihilator of ann U + ann V."""
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    f = u.field
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(f, u.ambient_dim)
-    stacked = u.basis_matrix.stack(v.basis_matrix)
-    left = kernel(stacked.transpose())
-    cols = u.basis_matrix.transpose()
-    rows = [cols.mul_vec(y[: u.dim]) for y in left.basis_rows()]  # y's combination of U's rows
-    out = Subspace.from_rows(f, u.ambient_dim, rows) if rows else Subspace.zero(f, u.ambient_dim)
+    out = annihilator(subspace_sum(annihilator(u), annihilator(v)))
     assert out.dim == intersect_dim(u, v)
     return out
 

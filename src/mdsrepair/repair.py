@@ -162,15 +162,23 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], M
     return dims, zs, matrix
 
 
-def _witnesses(
+def make_witnesses(
     code: ArrayCode, repairs: Iterable[tuple[int, Subspace]]
-) -> tuple[tuple[RepairWitness, ...], dict[Subspace, bool]]:
-    """make_witnesses, and per distinct W whether it meets some node's subspace in dimension > 1."""
+) -> tuple[RepairWitness, ...]:
+    """The witness of each (node, W) pair, the node repaired through W.
+
+    Each W must be a complement of H_node in the code's space; its repair
+    matrix is the reduced basis of its annihilator, the matrix whose
+    kernel is W.  The profile and the matrix depend on the code and W
+    alone, so each distinct W runs the rank oracle once, which reduces the
+    matrix and profiles every node through it; the pair tuples and both
+    totals are built once per W, and every node repaired through W slices
+    its own witness out.
+    """
     ell = code.ell
     full = ell * code.n  # both costs over all n nodes when W meets none
     # per W: the (j, dim(W meet H_j)) and (j, z_j) pairs over all n nodes,
-    # the bandwidth and I/O totals over all n, the repair matrix, and
-    # whether some dimension exceeds 1
+    # the bandwidth and I/O totals over all n, and the repair matrix
     profiles: dict[Subspace, tuple] = {}
     witnesses = []
     for node, w in repairs:
@@ -187,9 +195,8 @@ def _witnesses(
                 full - sum(dims),
                 full - sum(zs),
                 matrix,
-                max(dims) > 1,
             )
-        dim_pairs, z_pairs, bw_all, io_all, matrix, _ = profile
+        dim_pairs, z_pairs, bw_all, io_all, matrix = profile
         if dim_pairs[node][1] != 0:
             raise ValueError("repair subspace meets the failed node's subspace")
         witnesses.append(
@@ -203,23 +210,7 @@ def _witnesses(
                 io=io_all - (ell - z_pairs[node][1]),
             )
         )
-    return tuple(witnesses), {w: profile[5] for w, profile in profiles.items()}
-
-
-def make_witnesses(
-    code: ArrayCode, repairs: Iterable[tuple[int, Subspace]]
-) -> tuple[RepairWitness, ...]:
-    """The witness of each (node, W) pair, the node repaired through W.
-
-    Each W must be a complement of H_node in the code's space; its repair
-    matrix is the reduced basis of its annihilator, the matrix whose
-    kernel is W.  The profile and the matrix depend on the code and W
-    alone, so each distinct W runs the rank oracle once, which reduces the
-    matrix and profiles every node through it; the pair tuples and both
-    totals are built once per W, and every node repaired through W slices
-    its own witness out.
-    """
-    return _witnesses(code, repairs)[0]
+    return tuple(witnesses)
 
 
 def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
@@ -472,7 +463,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                 )
             raise AssertionError("no feasible repair subspace found")
     # alpha and lambda witnesses alternate; one rank-oracle run per distinct W
-    wits, wide = _witnesses(
+    wits = make_witnesses(
         code, [(i, best[i][1]) for i in range(code.n) for best in (best_dim, best_pts)]
     )
     summaries = []
@@ -493,7 +484,7 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                 raise AssertionError(
                     f"node {i}: saving {alpha} exceeds the projective point capacity {cap}"
                 )
-            if alpha == cap and wide[wit_a.space]:
+            if alpha == cap and any(d > 1 for _, d in wit_a.helper_dims):
                 raise AssertionError(
                     f"node {i}: bound attained but a helper intersection exceeds dim 1"
                 )

@@ -344,7 +344,7 @@ def test_criterion_09_block_bound_checker():
     }
     ok = True
     for ext, gs in gens.items():
-        family = [hit_set(w_g_subspace(ext, g), ext) for g in gs]
+        family = [hit_set(w_g_subspace(ext, g), ext, g=g) for g in gs]
         holds, cert = check_block_intersection_bound(family)
         ok = ok and holds and cert.n_effective >= cert.bound
         if ext is ext3:

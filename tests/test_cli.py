@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mdsrepair import cli, geometry, gf, repair
+from mdsrepair import cli, constructions, geometry, gf, repair
 from mdsrepair.cli import run
 from mdsrepair.code import MdsCheck, code_from_intrinsic, deserialize, serialize
 from mdsrepair.constructions import build_two_parity_code
@@ -144,6 +144,8 @@ def test_repair_analyze_csv(capsys, tmp_path):
         ["repair", "analyze", "--code", str(path), "--budget", "1000", "--format", "csv"],
     )
     assert code == 0
+    assert "\r" not in out
+    assert out.startswith("node,alpha,lambda,beta,gamma,bw_at_bound,io_at_bound\n")
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 8
     assert all(row["beta"] == "10" for row in rows)
@@ -358,6 +360,30 @@ def test_oversized_geometry_requests_are_refused_before_any_build(
         monkeypatch.setattr(module, "make_extension", refuse, raising=False)
         monkeypatch.setattr(module, "desarguesian_spread", refuse, raising=False)
     code, out, err = _run(capsys, ["geometry", *argv])
+    assert code == 1
+    assert out == ""
+    assert err == f"mdsrepair: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--q", "3", "--ell", "100000", "--n", "8"], "field size 3^100000 exceeds cap 65536"),
+        (["--q", "3", "--ell", str(10**9), "--n", "8"],
+         "field size 3^1000000000 exceeds cap 65536"),
+        (["--q", "5", "--ell", "30", "--n", "8"], "field size 5^30 exceeds cap 65536"),
+    ],
+)
+def test_oversized_construct_requests_are_refused_before_any_build(
+    capsys, monkeypatch, argv, message
+):
+    def refuse(*args):
+        raise AssertionError("a field or spread was built before the refusal")
+
+    for module in (gf, geometry, constructions, cli):
+        monkeypatch.setattr(module, "make_extension", refuse, raising=False)
+        monkeypatch.setattr(module, "desarguesian_spread", refuse, raising=False)
+    code, out, err = _run(capsys, ["construct", "desarguesian", *argv])
     assert code == 1
     assert out == ""
     assert err == f"mdsrepair: error: {message}\n"

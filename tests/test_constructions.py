@@ -200,8 +200,9 @@ def test_hit_set_against_naive_intersection():
             a, b, c, d = (rng.randrange(9) for _ in range(4))
             if ext.top.sub(ext.top.mul(a, d), ext.top.mul(b, c)):
                 break
-        w = w_g_subspace(ext, ((a, b), (c, d)))
-        got = hit_set(w, ext)
+        g = ((a, b), (c, d))
+        w = w_g_subspace(ext, g)
+        got = hit_set(w, ext, g=g)
         naive = {
             label
             for label in tilde.labels
@@ -228,21 +229,15 @@ def test_exceptional_probe_hit_sets():
     # three probe subspaces per case cover the node set; recorded here,
     # recomputed from scratch inside the builder
     ext3, ext4 = _ext(3), _ext(4)
-    probes3 = (
-        hit_set(w_g_subspace(ext3, ((1, 0), (0, 1))), ext3),
-        hit_set(w_g_subspace(ext3, ((3, 1), (0, 1))), ext3),
-        hit_set(w_g_subspace(ext3, ((0, 6), (1, 3))), ext3),
-    )
+    gs3 = (((1, 0), (0, 1)), ((3, 1), (0, 1)), ((0, 6), (1, 3)))
+    probes3 = tuple(hit_set(w_g_subspace(ext3, g), ext3, g=g) for g in gs3)
     assert probes3 == (
         frozenset({INF, 0, 1, 2}),
         frozenset({INF, 1, 4, 7}),
         frozenset({0, 2, 4, 7}),
     )
-    probes4 = (
-        hit_set(w_g_subspace(ext4, ((1, 0), (0, 1))), ext4),
-        hit_set(w_g_subspace(ext4, ((2, 0), (0, 1))), ext4),
-        hit_set(w_g_subspace(ext4, ((1, 2), (3, 1))), ext4),
-    )
+    gs4 = (((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 2), (3, 1)))
+    probes4 = tuple(hit_set(w_g_subspace(ext4, g), ext4, g=g) for g in gs4)
     assert probes4 == (
         frozenset({INF, 0, 1, 6, 7}),
         frozenset({INF, 0, 2, 12, 14}),
@@ -253,7 +248,7 @@ def test_exceptional_probe_hit_sets():
 def test_block_bound_on_probe_families():
     ext = _ext(3)
     gs = (((1, 0), (0, 1)), ((3, 1), (0, 1)), ((0, 6), (1, 3)))
-    family = [hit_set(w_g_subspace(ext, g), ext) for g in gs]
+    family = [hit_set(w_g_subspace(ext, g), ext, g=g) for g in gs]
     ok, cert = check_block_intersection_bound(family)
     assert ok
     assert cert.t == 4

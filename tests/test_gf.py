@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from mdsrepair.gf import (
     make_field,
     prime_power,
 )
+from mdsrepair.geometry import conjugate_spread, desarguesian_spread
 
 
 def test_prime_field_arithmetic():
@@ -195,3 +198,50 @@ def test_field_tables_match_sympy_products():
             assert f.sub(a, b) == code_of(pa - pb), (q, a, b)
             if b:
                 assert f.inv(b) == code_of(pb.invert(modulus)), (q, b)
+
+
+def _extension_grid(top_limit):
+    """Every (q, ell) with ell >= 2 and q^ell <= top_limit, q a prime power."""
+    grid = []
+    for q in range(2, math.isqrt(top_limit) + 1):
+        if len(sympy.factorint(q)) == 1:
+            grid += [(q, ell) for ell in range(2, 64) if q**ell <= top_limit]
+    return grid
+
+
+@pytest.mark.parametrize("q, ell", _extension_grid(4096))
+def test_coordinates_are_the_power_basis(q, ell):
+    # the unit vector e_j is y^j, y the class of x in the top field, whose
+    # encoding is p; the grid holds bases with m > 1 (q = 4, 8, 9, 16, ...)
+    ext = make_extension(field_of_order(q), ell)
+    top = ext.top
+    for j in range(ell):
+        unit = tuple(int(i == j) for i in range(ell))
+        assert ext.from_coords(unit) == top.pow(top.p, j)
+        assert ext.to_coords(top.pow(top.p, j)) == unit
+
+
+@pytest.mark.parametrize("q, ell", _extension_grid(1024))
+def test_coordinates_round_trip_on_every_element(q, ell):
+    ext = make_extension(field_of_order(q), ell)
+    for a in ext.top.elements():
+        vec = ext.to_coords(a)
+        assert len(vec) == ell and all(0 <= v < q for v in vec)
+        assert ext.from_coords(vec) == a
+
+
+def test_spread_members_are_pinned():
+    # sha256 over the packed members of both field spreads, on a grid with
+    # bases of degree m > 1; pinned under the former GF(p) change of basis
+    # coordinates, which the power basis must reproduce
+    digest = hashlib.sha256()
+    grid = ((2, 3), (2, 4), (4, 2), (4, 3), (8, 2), (8, 3), (9, 2), (9, 3), (16, 2),
+            (25, 2), (27, 2), (3, 4), (5, 3))
+    for q, ell in grid:
+        ext = make_extension(field_of_order(q), ell)
+        for spread in (desarguesian_spread(q, ell), conjugate_spread(ext)):
+            for member in spread.members:
+                digest.update(member.packed)
+    assert digest.hexdigest() == (
+        "cf7220f746a74448acaa036155c91f0c793b7485ae0a5ea2336a6b0489133f6e"
+    )

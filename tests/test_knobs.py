@@ -4,7 +4,7 @@ from pathlib import Path
 
 import mdsrepair
 
-KNOB_CEILING = 12
+KNOB_CEILING = 11
 CACHE_CEILING = 11
 
 

@@ -184,7 +184,7 @@ def test_subspace_canonical_form():
     assert a.dim == 2
     assert _contains(a, (2, 2, 0))
     assert not _contains(a, (1, 0, 0))
-    assert Subspace.zero(field, 3).dim == 0
+    assert Subspace.from_rows(field, 3, []).dim == 0
 
 
 def test_dimension_formula_for_sum_and_intersection():
@@ -205,6 +205,23 @@ def test_dimension_formula_for_sum_and_intersection():
             assert tot.dim + cap.dim == u.dim + v.dim
             for big, small in ((u, cap), (v, cap), (tot, u), (tot, v)):
                 assert all(_contains(big, row) for row in small.basis_rows())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_intersection_holds_exactly_the_common_points(q):
+    # an oracle independent of any elimination: the points of U meet V are
+    # the points U and V share; every pair of dimensions 0..d is drawn
+    field = field_of_order(q)
+    rng = random.Random(q)
+    for d in range(1, 6):
+        for k, m in itertools.product(range(d + 1), repeat=2):
+            u, v = (
+                subspace_at(field, d, j, rng.randrange(gaussian_binomial(d, j, q)))
+                for j in (k, m)
+            )
+            cap = subspace_intersection(u, v)
+            assert cap.point_mask == u.point_mask & v.point_mask
+            assert cap.dim == intersect_dim(u, v)
 
 
 def test_gaussian_binomial_values():
