@@ -13,13 +13,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from ._kernel import rre_rank
 from .gf import FieldCtx, make_field
-from .linalg import MatrixGF, Subspace, _span, kernel, proj_point
+from .linalg import MatrixGF, Subspace, _span, _tables, kernel, proj_point
 
 MDS_CAP = 10**6  # most r-subsets of blocks is_mds checks
 
@@ -68,8 +69,8 @@ class ArrayCode:
         subspaces = tuple(_span(f, d, bytearray(b"".join(map(bytes, p))), ell) for p in points)
         if any(h.dim < ell for h in subspaces):
             raise ValueError("blocks must have full column rank")
-        span = bytearray(b"".join(h.packed for h in subspaces))
-        if rre_rank(span, len(blocks) * ell, d, f.q, f.sub_tab, f.mul_tab, f.inv_tab) < d:
+        span = bytearray(b"".join(h.entries for h in subspaces))
+        if rre_rank(span, len(blocks) * ell, d, *_tables(f)) < d:
             raise ValueError("node subspaces do not span the parity space")
         derived = {"blocks": blocks, "n": len(blocks), "k": len(blocks) - r, "ell": ell,
                    "node_subspaces": subspaces, "column_points": points}
@@ -86,17 +87,11 @@ class ArrayCode:
 
     @cached_property
     def parity_rows(self) -> tuple[bytes, ...]:
-        """The rows of the parity matrix, packed, built once per code."""
-        ell = self.ell
-        return tuple(
-            b"".join([b.packed[t * ell : (t + 1) * ell] for b in self.blocks])
-            for t in range(self.ambient_dim)
-        )
+        """The rows of the parity matrix as bytes, built once per code."""
+        return tuple(b"".join([b.row(t) for b in self.blocks]) for t in range(self.ambient_dim))
 
     def parity_matrix(self) -> MatrixGF:
-        return MatrixGF(
-            self.field, self.ambient_dim, self.n * self.ell, tuple(b"".join(self.parity_rows))
-        )
+        return MatrixGF(self.field, self.ambient_dim, self.n * self.ell, b"".join(self.parity_rows))
 
     def __repr__(self) -> str:
         return f"ArrayCode(n={self.n}, k={self.k}, ell={self.ell}, {self.field!r})"
@@ -136,7 +131,7 @@ def code_from_intrinsic(
         ]
     # a block's columns are its points; short points fail the shape
     blocks = [
-        MatrixGF(s.field, s.ambient_dim, len(pts), tuple(itertools.chain.from_iterable(zip(*pts))))
+        MatrixGF(s.field, s.ambient_dim, len(pts), itertools.chain.from_iterable(zip(*pts)))
         for s, pts in zip(subspaces, points)
     ]
     code = ArrayCode(subspaces[0].field, blocks)
@@ -165,24 +160,17 @@ def is_mds(code: ArrayCode) -> MdsCheck:
     """Check that every r-subset of blocks forms an invertible square matrix.
 
     Each block's columns, taken as rows (rank H_S = rank of its
-    transpose), are packed once per code; a subset joins the bytes of its
+    transpose), are joined once per code; a subset joins the bytes of its
     members and is ranked by one rre_rank call.  More than MDS_CAP subsets
     are not checked: the status is then "cap_exceeded".
     """
-    r = code.r
-    total = 1
-    for i in range(r):
-        total = total * (code.n - i) // (i + 1)
-    if total > MDS_CAP:
+    if math.comb(code.n, code.r) > MDS_CAP:
         return MdsCheck("cap_exceeded", 0)
-    f = code.field
-    tables = (f.q, f.sub_tab, f.mul_tab, f.inv_tab)
+    tables = _tables(code.field)
     ambient = code.ambient_dim
-    columns = bytes(itertools.chain.from_iterable(zip(*code.parity_rows)))
-    size = code.ell * ambient
-    block_rows = [columns[j * size : (j + 1) * size] for j in range(code.n)]
+    block_rows = [b"".join(map(b.col, range(code.ell))) for b in code.blocks]
     checked = 0
-    for subset in itertools.combinations(range(code.n), r):
+    for subset in itertools.combinations(range(code.n), code.r):
         checked += 1
         square = bytearray(b"".join([block_rows[i] for i in subset]))
         if rre_rank(square, ambient, ambient, *tables) < ambient:

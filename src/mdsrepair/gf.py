@@ -4,8 +4,9 @@ Elements are encoded as integers in [0, p^m): the base-p digits of the
 encoding are the coefficients of the residue polynomial, constant term
 first.  The prime subfield therefore sits at encodings 0..p-1 and the
 residue class of x has encoding p.  Flat lookup tables are built for
-fields of at most TABLE_LIMIT elements; larger fields fall back to
-on-the-fly polynomial arithmetic and cannot back matrix computations.
+fields of at most TABLE_LIMIT elements, by recurrences on the base-p
+digits in O(q^2) lookups; larger fields fall back to on-the-fly
+polynomial arithmetic and cannot back matrix computations.
 An extension GF(q^ell) over GF(q) reads its elements in the power basis
 1, y, .., y^(ell-1), y the class of x in the top field: coordinates map
 to an element by one sum, and back by a lookup in a table of all q^ell
@@ -111,30 +112,30 @@ class FieldCtx:
             self.add_tab = self.sub_tab = self.mul_tab = self.inv_tab = None
 
     def _build_tables(self) -> None:
+        """The four tables by recurrences on the base-p digits, in O(q^2) lookups.
+
+        With a = p a' + a_0: add[a, b] = (a_0 + b_0) % p + p add[a', b'];
+        x a shifts the digits up and folds the top one back through the
+        modulus; a b = x (a b') + b_0 a, filled in increasing b.
+        """
         p, m, q = self.p, self.m, self.q
-        add = bytearray(q * q)
-        sub = bytearray(q * q)
-        mul = bytearray(q * q)
-        inv = bytearray(q)
-        polys = [_digits(a, p, m) for a in range(q)]
-        for a in range(q):
-            pa = polys[a]
-            for b in range(q):
-                pb = polys[b]
-                add[a * q + b] = _encode([(x + y) % p for x, y in zip(pa, pb)], p)
-                sub[a * q + b] = _encode([(x - y) % p for x, y in zip(pa, pb)], p)
-                mul[a * q + b] = _encode(
-                    _poly_mul_mod(pa, pb, self.modulus, p) + [0] * m, p
-                )
+        low = q // p
+        add = [list(range(q))]
         for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-        self.add_tab = bytes(add)
-        self.sub_tab = bytes(sub)
-        self.mul_tab = bytes(mul)
-        self.inv_tab = bytes(inv)
+            digit = [(a + d) % p for d in range(p)]
+            add.append([p * x + y for x in add[a // p][:low] for y in digit])
+        neg = [row.index(0) for row in add]
+        mul = [[0] * q]
+        for c in range(1, p):  # c a = (c - 1) a + a
+            mul.append([add[u][a] for a, u in enumerate(mul[-1])])
+        fold = neg[_encode(self.modulus[:m], p)]  # x^m = -(modulus below the leading 1)
+        xtimes = [add[a % low * p][mul[a // low][fold]] for a in range(q)]
+        for b in range(p, q):
+            mul.append([add[xtimes[u]][v] for u, v in zip(mul[b // p], mul[b % p])])
+        self.add_tab = b"".join(map(bytes, add))
+        self.sub_tab = bytes(row[b] for row in add for b in neg)
+        self.mul_tab = b"".join(map(bytes, mul))
+        self.inv_tab = bytes([0] + [row.index(1) for row in mul[1:]])
 
     @property
     def has_tables(self) -> bool:

@@ -1,14 +1,16 @@
 """Matrices, subspaces and subspace enumeration over small finite fields.
 
 Everything here is exact and deterministic.  Matrices and subspaces are
-immutable value objects; a subspace is always held in reduced row echelon
-form, which makes equality, hashing and enumeration order canonical.  A
-projective point is the tuple of its normalised representative, whose
-first nonzero entry is 1.  The points of F_q^d carry canonical numbers:
-the point whose leading 1 sits at position L is number sum_{k<L} q^(d-1-k)
-plus its entries after L read as a base q numeral.  That numbers the
-(q^d - 1)/(q - 1) points from 0 up, ordered by L and then by the tail, and
-bit b of every point mask stands for point number b.
+immutable value objects whose entries, field codes row by row, are one
+bytes object; every matrix product is taken by combine_rows.  A subspace
+is always held in reduced row echelon form, which makes equality, hashing
+and enumeration order canonical.  A projective point is the tuple of its
+normalised representative, whose first nonzero entry is 1.  The points of
+F_q^d carry canonical numbers: the point whose leading 1 sits at position
+L is number sum_{k<L} q^(d-1-k) plus its entries after L read as a base q
+numeral.  That numbers the (q^d - 1)/(q - 1) points from 0 up, ordered by
+L and then by the tail, and bit b of every point mask stands for point
+number b.
 """
 from __future__ import annotations
 
@@ -34,19 +36,19 @@ def _require_tables(field: FieldCtx) -> None:
 
 
 class MatrixGF:
-    """Immutable matrix with entries encoded as field elements."""
+    """Immutable matrix; entries holds bytes(entries), row(i) and col(j) bytes slices."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "packed")
+    __slots__ = ("field", "rows", "cols", "entries")
 
-    def __init__(self, field: FieldCtx, rows: int, cols: int, entries: tuple[int, ...]):
+    def __init__(self, field: FieldCtx, rows: int, cols: int, entries: Iterable[int]):
         _require_tables(field)
+        entries = bytes(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         self.field = field
         self.rows = rows
         self.cols = cols
         self.entries = entries
-        self.packed = bytes(entries)
 
     @classmethod
     def from_rows(cls, field: FieldCtx, rows: Sequence[Sequence[int]]) -> MatrixGF:
@@ -57,58 +59,34 @@ class MatrixGF:
             if len(row) != c:
                 raise ValueError("ragged rows")
             flat.extend(field.check(x) for x in row)
-        return cls(field, r, c, tuple(flat))
+        return cls(field, r, c, flat)
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[int, ...]:
+    def row(self, i: int) -> bytes:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[int, ...]:
+    def col(self, j: int) -> bytes:
         return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> MatrixGF:
-        return MatrixGF(
-            self.field,
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def mul(self, other: MatrixGF) -> MatrixGF:
+        """Row i of self * other is the combination of other's rows by row i of self."""
         if self.field != other.field or self.cols != other.rows:
             raise ValueError("shape or field mismatch")
-        f = self.field
-        q = f.q
-        add, mul = f.add_tab, f.mul_tab
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = 0
-                for t in range(self.cols):
-                    acc = add[acc * q + mul[self.entries[base + t] * q + other.entries[t * other.cols + j]]]
-                out.append(acc)
-        return MatrixGF(self.field, self.rows, other.cols, tuple(out))
+        rows = [other.row(t) for t in range(other.rows)]
+        out = [combine_rows(self.field, self.row(i), rows, other.cols) for i in range(self.rows)]
+        return MatrixGF(self.field, self.rows, other.cols, b"".join(out))
 
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """self * vec, the combination of self's columns by vec."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
-        q = f.q
-        add, mul = f.add_tab, f.mul_tab
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = 0
-            for t in range(self.cols):
-                acc = add[acc * q + mul[self.entries[base + t] * q + vec[t]]]
-            out.append(acc)
-        return tuple(out)
+        cols = [self.col(t) for t in range(self.cols)]
+        return tuple(combine_rows(self.field, vec, cols, self.rows))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -132,37 +110,39 @@ def _tables(field: FieldCtx) -> tuple[int, bytes, bytes, bytes]:
 
 
 def rank(mat: MatrixGF) -> int:
-    return rre_rank(bytearray(mat.packed), mat.rows, mat.cols, *_tables(mat.field))
+    return rre_rank(bytearray(mat.entries), mat.rows, mat.cols, *_tables(mat.field))
 
 
 def rref(mat: MatrixGF) -> tuple[MatrixGF, int]:
     """Reduced row echelon form of mat (zero rows kept) and its rank."""
-    buf = bytearray(mat.packed)
+    buf = bytearray(mat.entries)
     r = rref_rank(buf, mat.rows, mat.cols, *_tables(mat.field))
-    return MatrixGF(mat.field, mat.rows, mat.cols, tuple(buf)), r
+    return MatrixGF(mat.field, mat.rows, mat.cols, buf), r
 
 
 class Subspace:
-    """A subspace of F_q^d held as its canonical reduced row echelon basis."""
+    """A subspace of F_q^d held as its canonical reduced row echelon basis.
 
-    __slots__ = (
-        "field", "ambient_dim", "dim", "entries", "pivots", "packed", "_hash", "_point_mask"
-    )
+    entries holds the basis as bytes, row by row; basis_rows() returns
+    tuples of ints, the form of proj_point's points.
+    """
+
+    __slots__ = ("field", "ambient_dim", "dim", "entries", "pivots", "_hash", "_point_mask")
 
     def __init__(
         self,
         field: FieldCtx,
         ambient_dim: int,
         dim: int,
-        entries: tuple[int, ...],
+        entries: Iterable[int],
         pivots: tuple[int, ...],
     ):
+        entries = bytes(entries)
         self.field = field
         self.ambient_dim = ambient_dim
         self.dim = dim
         self.entries = entries
         self.pivots = pivots
-        self.packed = bytes(entries)
         self._hash = hash((field.q, ambient_dim, entries))
         self._point_mask: int | None = None
 
@@ -184,7 +164,7 @@ class Subspace:
 
     def basis_rows(self) -> list[tuple[int, ...]]:
         d = self.ambient_dim
-        return [self.entries[i * d : (i + 1) * d] for i in range(self.dim)]
+        return [tuple(self.entries[i * d : (i + 1) * d]) for i in range(self.dim)]
 
     @property
     def point_mask(self) -> int:
@@ -220,14 +200,14 @@ def _span(field: FieldCtx, ambient_dim: int, buf: bytearray, count: int) -> Subs
     """The span of the count rows in buf, entries already field codes; buf is consumed."""
     d = ambient_dim
     r = rref_rank(buf, count, d, *_tables(field))
-    entries = tuple(buf[: r * d])
-    pivots = tuple(next(j for j in range(d) if entries[i * d + j]) for i in range(r))
-    return Subspace(field, d, r, entries, pivots)
+    del buf[r * d :]
+    pivots = tuple(next(j for j in range(d) if buf[i * d + j]) for i in range(r))
+    return Subspace(field, d, r, buf, pivots)
 
 
 def kernel(mat: MatrixGF) -> Subspace:
     """Right null space of mat as a subspace of F_q^cols: the annihilator of its row space."""
-    return annihilator(_span(mat.field, mat.cols, bytearray(mat.packed), mat.rows))
+    return annihilator(_span(mat.field, mat.cols, bytearray(mat.entries), mat.rows))
 
 
 def annihilator(space: Subspace) -> Subspace:
@@ -253,7 +233,7 @@ def annihilator(space: Subspace) -> Subspace:
 
 
 def combine_rows(field: FieldCtx, coeffs: Iterable[int], rows: Iterable[bytes], width: int) -> bytes:
-    """sum_t coeffs[t] * rows[t] over packed rows of width field codes each.
+    """sum_t coeffs[t] * rows[t] over bytes rows of width field codes each.
 
     Each row is scaled by translate through row c of the multiplication
     table.  For q <= 16 two rows add as whole integers: read little-endian
@@ -264,8 +244,8 @@ def combine_rows(field: FieldCtx, coeffs: Iterable[int], rows: Iterable[bytes], 
     q = field.q
     add, mul = field.add_tab, field.mul_tab
     pad = bytes(256 - q)
-    packed = q * q <= 256
-    if packed:
+    whole = q * q <= 256
+    if whole:
         sums = add + bytes(256 - q * q)
     acc = None
     for c, row in zip(coeffs, rows):
@@ -274,7 +254,7 @@ def combine_rows(field: FieldCtx, coeffs: Iterable[int], rows: Iterable[bytes], 
         scaled = row if c == 1 else row.translate(mul[c * q : (c + 1) * q] + pad)
         if acc is None:
             acc = scaled
-        elif packed:
+        elif whole:
             total = int.from_bytes(acc, "little") * q + int.from_bytes(scaled, "little")
             acc = total.to_bytes(width, "little").translate(sums)
         else:
@@ -286,31 +266,18 @@ def inverse(mat: MatrixGF) -> MatrixGF:
     if mat.rows != mat.cols:
         raise ValueError("only square matrices are invertible")
     n = mat.rows
-    f = mat.field
-    aug = MatrixGF(
-        f,
-        n,
-        2 * n,
-        tuple(
-            itertools.chain.from_iterable(
-                mat.row(i) + tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-            )
-        ),
-    )
-    red, r = rref(aug)
-    if r != n or any(
-        red.entry(i, j) != (1 if i == j else 0) for i in range(n) for j in range(n)
-    ):
+    unit = [bytes(i) + b"\x01" + bytes(n - 1 - i) for i in range(n)]
+    red, r = rref(MatrixGF(mat.field, n, 2 * n, b"".join(mat.row(i) + unit[i] for i in range(n))))
+    if r != n or any(red.row(i)[:n] != unit[i] for i in range(n)):
         raise ValueError("matrix is singular")
-    return MatrixGF(f, n, n, tuple(red.entry(i, n + j) for i in range(n) for j in range(n)))
+    return MatrixGF(mat.field, n, n, b"".join(red.row(i)[n:] for i in range(n)))
 
 
 def intersect_dim(u: Subspace, v: Subspace) -> int:
     """dim(U meet V) computed from the rank of the stacked bases."""
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    buf = bytearray(u.packed)
-    buf += v.packed
+    buf = bytearray(u.entries + v.entries)
     r = rre_rank(buf, u.dim + v.dim, u.ambient_dim, *_tables(u.field))
     return u.dim + v.dim - r
 
@@ -318,7 +285,7 @@ def intersect_dim(u: Subspace, v: Subspace) -> int:
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    return Subspace.from_rows(u.field, u.ambient_dim, u.basis_rows() + v.basis_rows())
+    return _span(u.field, u.ambient_dim, bytearray(u.entries + v.entries), u.dim + v.dim)
 
 
 def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
@@ -360,7 +327,7 @@ def enumerate_subspaces(field: FieldCtx, ambient_dim: int, dim: int) -> Iterator
             entries = list(base)
             for (i, j), val in zip(free, values):
                 entries[i * d + j] = val
-            yield Subspace(field, d, dim, tuple(entries), pivots)
+            yield Subspace(field, d, dim, entries, pivots)
 
 
 _PivotSet = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
@@ -418,7 +385,7 @@ def subspace_at(field: FieldCtx, ambient_dim: int, dim: int, index: int) -> Subs
     entries = list(base)
     for i, j in reversed(free):
         index, entries[i * d + j] = divmod(index, q)
-    return Subspace(field, d, dim, tuple(entries), pivots)
+    return Subspace(field, d, dim, entries, pivots)
 
 
 @functools.lru_cache(maxsize=64)

@@ -123,8 +123,7 @@ class RepairReport:
 @lru_cache(maxsize=_RANK_MEMO)
 def _block_rank(field: FieldCtx, ell: int, block: bytes) -> int:
     """The rank of the ell x ell matrix whose entries, row by row, are block's bytes."""
-    q, sub, mul, inv = field.q, field.sub_tab, field.mul_tab, field.inv_tab
-    return rre_rank(bytearray(block), ell, ell, q, sub, mul, inv)
+    return rre_rank(bytearray(block), ell, ell, *linalg._tables(field))
 
 
 def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], MatrixGF]:
@@ -132,7 +131,7 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], M
 
     The oracle for the mask scan, read through the repair matrix M, the
     reduced basis of the annihilator of W, so that ker M = W; it comes
-    straight off W's reduced basis.  The rows of M H are sums of the packed
+    straight off W's reduced basis.  The rows of M H are sums of the bytes
     parity rows scaled by M's entries, taken by combine_rows.  The block's
     columns are a basis of H_j, so dim(W meet H_j) = ell - rank(M H_j), the
     rank of the ell x ell image; reports meet few distinct images, so the

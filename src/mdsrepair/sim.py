@@ -40,23 +40,26 @@ class RepairTrace:
 
 @lru_cache(maxsize=1)
 def _codeword_basis(code: ArrayCode) -> tuple[bytes, ...]:
-    """The packed rows of a basis B of ker(H), kept for the code sampled last.
+    """The rows of a basis B of ker(H) as bytes, kept for the code sampled last.
 
-    H B^T = 0 is checked here, once per code: every sample is a combination
-    of B's rows, so it satisfies the parity equation whenever B does.
+    H b = 0 is checked here for each row b, once per code: every sample is
+    a combination of B's rows, so it satisfies the parity equation whenever
+    B does.
     """
     space = codeword_space(code)
-    if any(code.parity_matrix().mul(space.basis_matrix.transpose()).entries):
-        raise AssertionError("sampled word violates the parity equation")
     width = space.ambient_dim
-    return tuple(space.packed[i * width : (i + 1) * width] for i in range(space.dim))
+    rows = tuple(space.entries[i * width : (i + 1) * width] for i in range(space.dim))
+    h = code.parity_matrix()
+    if any(any(h.mul_vec(b)) for b in rows):
+        raise AssertionError("sampled word violates the parity equation")
+    return rows
 
 
 def sample_codeword(code: ArrayCode, seed: int) -> CodewordArr:
     """A codeword drawn uniformly from ker(H), deterministic per seed.
 
     One coefficient is drawn per basis vector, in order, and the codeword
-    is their combination, taken over the packed basis rows by combine_rows.
+    is their combination, taken over the basis rows by combine_rows.
     """
     rows = _codeword_basis(code)
     rng = random.Random(seed)
@@ -112,31 +115,25 @@ def erase_and_repair(
     M H_j) are asserted to equal ell - dim(W meet H_j) and ell minus the
     captured column points, as recorded in the witness's profile.  Those
     checks and the products depend on the witness alone and run once per
-    witness in _repair_plan; a trial masks, multiplies and sums.
+    witness in _repair_plan; a trial masks, multiplies, and sums the
+    negated transmissions by combine_rows.
     """
     if witness.node != node:
         raise ValueError("witness was built for a different node")
     field = code.field
     ell = code.ell
     helpers, mhi_inv = _repair_plan(code, witness)
-    downloaded = []
-    accessed = []
-    transmitted = []
-    acc = [0] * ell
-    for j, prod, live, down in helpers:
-        masked = tuple(cw.blocks[j][t] if t in live else 0 for t in range(ell))
-        y = prod.mul_vec(masked)
-        acc = [field.add(a, v) for a, v in zip(acc, y)]
-        downloaded.append((j, down))
-        accessed.append((j, len(live)))
-        transmitted.append((j, y))
-    rhs = tuple(field.neg(a) for a in acc)
-    recovered = mhi_inv.mul_vec(rhs)
+    transmitted = tuple(
+        (j, prod.mul_vec([cw.blocks[j][t] if t in live else 0 for t in range(ell)]))
+        for j, prod, live, _ in helpers
+    )
+    ys = [bytes(y) for _, y in transmitted]
+    recovered = mhi_inv.mul_vec(combine_rows(field, [field.neg(1)] * len(ys), ys, ell))
     return RepairTrace(
         node=node,
-        downloaded=tuple(downloaded),
-        accessed=tuple(accessed),
-        transmitted=tuple(transmitted),
+        downloaded=tuple((j, down) for j, _, _, down in helpers),
+        accessed=tuple((j, len(live)) for j, _, live, _ in helpers),
+        transmitted=transmitted,
         recovered=recovered,
         match=recovered == tuple(cw.blocks[node]),
     )

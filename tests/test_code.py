@@ -138,7 +138,7 @@ def _reference_is_mds(code):
     for subset in itertools.combinations(range(code.n), code.r):
         checked += 1
         square = MatrixGF.from_rows(code.field, [
-            sum((code.blocks[i].row(t) for i in subset), ()) for t in range(code.ambient_dim)
+            b"".join(code.blocks[i].row(t) for i in subset) for t in range(code.ambient_dim)
         ])
         invertible = rank(square) == code.ambient_dim
         rows = [row for i in subset for row in code.node_subspaces[i].basis_rows()]
@@ -501,7 +501,7 @@ def _rank_walk_mds_code(field, r, ell, n, rng, retry_cap):
 
     def fits(cand, newest, others):
         return all(
-            rank(MatrixGF(field, d, d, sum((s.entries for s in (cand, newest, *group)), ()))) == d
+            rank(MatrixGF(field, d, d, b"".join(s.entries for s in (cand, newest, *group)))) == d
             for group in itertools.combinations(others, r - 2)
         )
 

@@ -200,6 +200,19 @@ def test_field_tables_match_sympy_products():
                 assert f.inv(b) == code_of(pb.invert(modulus)), (q, b)
 
 
+
+def test_field_tables_are_pinned():
+    # sha256 over add, sub, mul and inv of all 70 table fields, in order of
+    # q; pinned under the former per-pair polynomial products
+    digest = hashlib.sha256()
+    for q in range(2, TABLE_LIMIT + 1):
+        if len(sympy.factorint(q)) == 1:
+            f = field_of_order(q)
+            digest.update(f.add_tab + f.sub_tab + f.mul_tab + f.inv_tab)
+    assert digest.hexdigest() == (
+        "aae254b4b84e4a122f98b3de3c62fdd97351f6d5eec0ad93bedb246b0b765abe"
+    )
+
 def _extension_grid(top_limit):
     """Every (q, ell) with ell >= 2 and q^ell <= top_limit, q a prime power."""
     grid = []
@@ -231,7 +244,7 @@ def test_coordinates_round_trip_on_every_element(q, ell):
 
 
 def test_spread_members_are_pinned():
-    # sha256 over the packed members of both field spreads, on a grid with
+    # sha256 over the member entries of both field spreads, on a grid with
     # bases of degree m > 1; pinned under the former GF(p) change of basis
     # coordinates, which the power basis must reproduce
     digest = hashlib.sha256()
@@ -241,7 +254,7 @@ def test_spread_members_are_pinned():
         ext = make_extension(field_of_order(q), ell)
         for spread in (desarguesian_spread(q, ell), conjugate_spread(ext)):
             for member in spread.members:
-                digest.update(member.packed)
+                digest.update(member.entries)
     assert digest.hexdigest() == (
         "cf7220f746a74448acaa036155c91f0c793b7485ae0a5ea2336a6b0489133f6e"
     )

@@ -78,9 +78,12 @@ def test_rref_shape():
         assert pivots == sorted(pivots)
 
 
-def test_matrix_multiply_against_direct_sum():
+@pytest.mark.parametrize("q", [2, 4, 5, 16, 25, 256])
+def test_matrix_multiply_against_direct_sum(q):
+    # q <= 16 takes combine_rows' whole-integer path, larger q the entry by
+    # entry one; GF(256) puts codes of 128 and above into the bytes
     rng = random.Random(12)
-    field = field_of_order(5)
+    field = field_of_order(q)
     for _ in range(20):
         a = _random_matrix(rng, field, 3, 4)
         b = _random_matrix(rng, field, 4, 2)
@@ -91,10 +94,15 @@ def test_matrix_multiply_against_direct_sum():
                 for t in range(4):
                     acc = field.add(acc, field.mul(a.entry(i, t), b.entry(t, j)))
                 assert c.entry(i, j) == acc
-        vec = tuple(rng.randrange(5) for _ in range(4))
+        vec = tuple(rng.randrange(q) for _ in range(4))
         assert a.mul_vec(vec) == tuple(
             a.mul(MatrixGF(field, 4, 1, vec)).entry(i, 0) for i in range(3)
         )
+    codes = [rng.randrange(q) for _ in range(12)]
+    built = [MatrixGF(field, 3, 4, e) for e in (tuple(codes), codes, bytes(codes))]
+    assert all(isinstance(m.entries, bytes) for m in built)
+    assert built[0] == built[1] == built[2]
+    assert len({hash(m) for m in built}) == 1
 
 
 def test_kernel_is_the_right_null_space():

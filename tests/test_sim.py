@@ -41,7 +41,7 @@ def _reference_sample(code, seed):
 
 
 def test_sample_codeword_matches_the_reference_combination():
-    # combine_rows over the packed basis rows gives the entry-by-entry combination
+    # combine_rows over the bytes basis rows gives the entry-by-entry combination
     # of the same draws, over GF(2), GF(3) and GF(4) and at r = 2 and 3
     codes = [build_two_parity_code(3, 2, 8)[0], build_exceptional("q4n9")[0],
              build_two_parity_code(4, 2, 17)[0],
