@@ -35,7 +35,6 @@ from .geometry import (
     INF,
     Regulus,
     Spread,
-    conjugate_spread,
     desarguesian_spread,
     is_regular_spread,
     is_spread,

@@ -368,7 +368,7 @@ def _cmd_check(a: argparse.Namespace) -> int:
     for f in report.forward:
         print(
             f"n={f.n}: bound {f.bound}, beta ({_frac(f.beta_avg)}, {f.beta_max}), "
-            f"gamma ({_frac(f.gamma_avg)}, {f.gamma_max}), attained {f.attained}"
+            f"gamma ({_frac(f.gamma_avg)}, {f.gamma_max}), attained {f.code_attains_io}"
         )
     for c in report.converse:
         print(

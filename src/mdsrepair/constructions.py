@@ -4,7 +4,8 @@ Two families repair every node at the counting bound for r = 2.  The long
 family stores the field spread members {(x, c*x)} for labels c in a set
 Omega covering two norm cosets, and repairs node c through one of the two
 twisted subspaces W_b = {(x, b*x^q)}.  The three short codes below the
-coset threshold store mirror spread members {(s*x, x)} and repair through
+coset threshold store mirror members {(s*x, x)}, the field spread
+members read through the swap map s -> 1/s (0 <-> INF), and repair through
 images of GF(q)^2 under a handful of fixed GL_2(GF(q^2)) elements, chosen
 so that their hit sets cover Omega while missing each node once.  Both
 families plant their probes through one routine: a node's columns hold
@@ -19,12 +20,10 @@ regulus list of geometry.hit_set_counts.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .code import ArrayCode, code_from_intrinsic, is_mds
@@ -33,7 +32,7 @@ from .geometry import (
     INF,
     Label,
     Spread,
-    conjugate_spread,
+    _field_spread,
     desarguesian_spread,
     hit_set_counts,
 )
@@ -44,7 +43,7 @@ from .linalg import (
     projective_points,
     subspace_intersection,
 )
-from .repair import RepairWitness, counting_bound, make_witnesses, repair_report
+from .repair import RepairReport, RepairWitness, counting_bound, make_witnesses, repair_report
 
 
 def norm_kernel(ext: ExtensionCtx) -> frozenset[int]:
@@ -215,11 +214,6 @@ def build_two_parity_code(
     return code, witnesses, plan
 
 
-@functools.lru_cache(maxsize=8)
-def _mirror_spread(ext: ExtensionCtx) -> Spread:
-    return conjugate_spread(ext)
-
-
 def w_g_subspace(ext: ExtensionCtx, g: Sequence[Sequence[int]]) -> Subspace:
     """The image of GF(q)^2 under g in GL_2(GF(q^2)), as a GF(q) subspace."""
     if ext.ell != 2:
@@ -246,26 +240,27 @@ def mobius_image(ext: ExtensionCtx, g: Sequence[Sequence[int]], s: Label) -> Lab
     return top.div(num, den)
 
 
-def _base_line(ext: ExtensionCtx) -> frozenset[Label]:
-    """P^1(GF(q)) inside P^1(GF(q^ell)): the embedded subfield plus INF."""
-    return frozenset(ext.embed_tab) | {INF}
+# s -> 1/s with 0 and INF swapped: the mirror member {(s*x, x)} is the
+# field spread member of label mobius_image(ext, _SWAP, s), and back.
+_SWAP = ((0, 1), (1, 0))
 
 
 def hit_set(w: Subspace, ext: ExtensionCtx, *, g: Sequence[Sequence[int]]) -> frozenset[Label]:
-    """Mirror spread labels whose members meet w, the image of GF(q)^2 under g.
+    """Mirror labels of the members meeting w, the image of GF(q)^2 under g.
 
-    A non member w meets each hit member in a line, never more, and the
-    result is checked against the fractional linear image of P^1(GF(q))
-    under g.
+    The hits are read on the field spread, whose labels map to mirror
+    labels through _SWAP.  A non member w meets each hit member in a line,
+    never more, and the result is checked against the fractional linear
+    image of P^1(GF(q)), the embedded subfield plus INF, under g.
     """
-    spread = _mirror_spread(ext)
+    spread = _field_spread(ext)
     hits = spread.meets(w)
     if w not in spread.members and any(
         (spread.members[j].point_mask & w.point_mask).bit_count() != 1 for j in hits
     ):
         raise AssertionError("non member meets a spread member off a line")
-    out = frozenset(spread.labels[j] for j in hits)
-    if out != frozenset(mobius_image(ext, g, s) for s in _base_line(ext)):
+    out = frozenset(mobius_image(ext, _SWAP, spread.labels[j]) for j in hits)
+    if out != frozenset(mobius_image(ext, g, s) for s in (*ext.embed_tab, INF)):
         raise AssertionError("hit set disagrees with its fractional linear image")
     return out
 
@@ -299,17 +294,18 @@ _EXC_HITS: dict[int, tuple[frozenset[Label], ...]] = {
 def build_exceptional(case: str) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
     """One of the three short codes meeting the bound below the coset range.
 
-    Node s stores the mirror member {(s*x, x)} and is repaired through the
-    first probe subspace whose hit set misses s.  Each node's column set
-    is forced to contain every point a probe pins inside it; no label lies
-    in more than two hit sets, so the ell = 2 columns always suffice.
+    Node s stores the mirror member {(s*x, x)}, read off the field spread
+    as the member of label mobius_image(ext, _SWAP, s), and is repaired
+    through the first probe subspace whose hit set misses s.  Each node's
+    column set is forced to contain every point a probe pins inside it; no
+    label lies in more than two hit sets, so the ell = 2 columns always
+    suffice.
     """
     try:
         q, omega = _EXC_CASES[case]
     except KeyError:
         raise ValueError(f"unknown case {case!r}") from None
     ext = make_extension(field_of_order(q), 2)
-    spread = _mirror_spread(ext)
     expected = _EXC_HITS[q]
     probes = tuple(w_g_subspace(ext, g) for g in _EXC_GENS[q])
     for w, g, hits in zip(probes, _EXC_GENS[q], expected):
@@ -317,7 +313,9 @@ def build_exceptional(case: str) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
             raise AssertionError("probe hit set differs from the recorded one")
 
     target = counting_bound(len(omega), 2, 2, q)
-    return _planted_code([spread.member(s) for s in omega], probes, target)
+    spread = _field_spread(ext)
+    nodes = [spread.member(mobius_image(ext, _SWAP, s)) for s in omega]
+    return _planted_code(nodes, probes, target)
 
 
 @dataclass(frozen=True)
@@ -378,17 +376,6 @@ def check_block_intersection_bound(
 
 
 @dataclass(frozen=True)
-class ForwardAttainment:
-    n: int
-    bound: int
-    beta_avg: Fraction
-    beta_max: int
-    gamma_avg: Fraction
-    gamma_max: int
-    attained: bool
-
-
-@dataclass(frozen=True)
 class ConverseSearch:
     n: int
     mode: str  # exhaustive | sampled
@@ -404,7 +391,7 @@ class ConverseReport:
     hi: int
     probes: int  # candidate repair subspaces profiled against the spread
     reguli: int
-    forward: tuple[ForwardAttainment, ...]
+    forward: tuple[RepairReport, ...]
     converse: tuple[ConverseSearch, ...]
     ok: bool
 
@@ -422,8 +409,9 @@ def regular_spread_converse_check(
 ) -> ConverseReport:
     """Attainment of the bound by codes whose node lines sit in a field spread.
 
-    Forward: for each n in [min(2q+2, 3q-3), q^2+1] the constructed code
-    attains all four metrics, confirmed by exhaustive search.  Converse:
+    Forward: for each n in [min(2q+2, 3q-3), q^2+1], the exhaustive repair
+    report of the constructed code, which must attain the I/O bound; on an
+    exhaustive report that forces all four metrics onto the bound.  Converse:
     for n below that range, no subset of spread members yields a code
     whose every node meets the bound; subsets where some node does are
     counted rather than hidden.  Exhaustive over subsets for q = 3, and
@@ -433,28 +421,9 @@ def regular_spread_converse_check(
     ell = 2
     lo = min(2 * q + 2, 3 * q - 3)
     hi = q * q + 1
-    forward = []
-    for n in range(lo, hi + 1):
-        code, _, _ = build_two_parity_code(q, ell, n)
-        report = repair_report(code)
-        bound = report.bound
-        attained = (
-            report.beta_avg == bound
-            and report.beta_max == bound
-            and report.gamma_avg == bound
-            and report.gamma_max == bound
-        )
-        forward.append(
-            ForwardAttainment(
-                n=n,
-                bound=bound,
-                beta_avg=report.beta_avg,
-                beta_max=report.beta_max,
-                gamma_avg=report.gamma_avg,
-                gamma_max=report.gamma_max,
-                attained=attained,
-            )
-        )
+    forward = tuple(
+        repair_report(build_two_parity_code(q, ell, n)[0]) for n in range(lo, hi + 1)
+    )
 
     spread = desarguesian_spread(q, ell)
     counts = hit_set_counts(spread)
@@ -488,14 +457,14 @@ def regular_spread_converse_check(
             )
         )
 
-    ok = all(f.attained for f in forward) and all(c.code_attaining == 0 for c in converse)
+    ok = all(f.code_attains_io for f in forward) and all(c.code_attaining == 0 for c in converse)
     return ConverseReport(
         q=q,
         lo=lo,
         hi=hi,
         probes=sum(counts.values()) + len(spread),
         reguli=len(hitsets),
-        forward=tuple(forward),
+        forward=forward,
         converse=tuple(converse),
         ok=ok,
     )

@@ -70,30 +70,15 @@ def desarguesian_member(ext: ExtensionCtx, label: Label) -> Subspace:
     return Subspace.from_rows(ext.base, 2 * ext.ell, rows)
 
 
-def conjugate_member(ext: ExtensionCtx, label: Label) -> Subspace:
-    """The subspace {(s*x, x)} for label s, or {(y, 0)} for INF.
-
-    That is the field spread member of label 1/s, with 0 and INF swapped.
-    """
-    if label is INF:
-        return desarguesian_member(ext, 0)
-    return desarguesian_member(ext, INF if label == 0 else ext.top.inv(label))
-
-
-def _field_spread(ext: ExtensionCtx, member_fn) -> Spread:
+def _field_spread(ext: ExtensionCtx) -> Spread:
     labels: tuple[Label, ...] = tuple(ext.top.elements()) + (INF,)
-    members = tuple(member_fn(ext, lab) for lab in labels)
+    members = tuple(desarguesian_member(ext, lab) for lab in labels)
     return Spread(ext.base, ext.ell, members, labels)
 
 
 def desarguesian_spread(q: int, ell: int) -> Spread:
     """The field spread {(x, c*x) : c} plus {(0, y)}, one member per label."""
-    return _field_spread(make_extension(field_of_order(q), ell), desarguesian_member)
-
-
-def conjugate_spread(ext: ExtensionCtx) -> Spread:
-    """The mirror image field spread {(s*x, x) : s} plus {(y, 0)}."""
-    return _field_spread(ext, conjugate_member)
+    return _field_spread(make_extension(field_of_order(q), ell))
 
 
 @dataclass(frozen=True)

@@ -203,11 +203,6 @@ class FieldCtx:
     def to_poly(self, a: int) -> tuple[int, ...]:
         return tuple(_digits(a, self.p, self.m))
 
-    def from_poly(self, digits: Sequence[int]) -> int:
-        if len(digits) != self.m:
-            raise ValueError(f"expected {self.m} coefficients")
-        return _encode([d % self.p for d in digits], self.p)
-
     def __eq__(self, other: object) -> bool:
         return self is other or (  # _build_field interns fields, so this is the usual case
             isinstance(other, FieldCtx)
@@ -328,25 +323,33 @@ class ExtensionCtx:
         self._build_coords()
 
     def _build_embedding(self) -> None:
+        # The roots of the base modulus lie in GF(q)* and are the Frobenius
+        # conjugates z^(p^i) of any one root z.  The norm t -> t^((Q-1)/(q-1))
+        # maps the units onto GF(q)*, so a scan of the units' norms soon
+        # meets a root; its smallest conjugate is the smallest root.
         base, top = self.base, self.top
-        root = None
-        for t in top.elements():
+
+        def at(coeffs: Sequence[int], x: int) -> int:
             acc = 0
-            power = 1
-            for c in base.modulus:
-                acc = top.add(acc, top.mul(c, power))
-                power = top.mul(power, t)
-            if acc == 0:
-                root = t
-                break
-        if root is None:
-            raise RuntimeError("subfield modulus has no root in the top field")
-        tab = []
-        for c in base.elements():
-            acc = 0
-            for d in reversed(base.to_poly(c)):
-                acc = top.add(top.mul(acc, root), d)
-            tab.append(acc)
+            for c in reversed(coeffs):
+                acc = top.add(top.mul(acc, x), c)
+            return acc
+
+        if base.m == 1:
+            root = -base.modulus[0] % base.p
+        else:
+            e = (top.q - 1) // (base.q - 1)
+            for t in top.units():
+                z = top.pow(t, e)
+                if at(base.modulus, z) == 0:
+                    break
+            else:
+                raise RuntimeError("subfield modulus has no root in the top field")
+            conjugates = [z]
+            for _ in range(base.m - 1):
+                conjugates.append(top.pow(conjugates[-1], base.p))
+            root = min(conjugates)
+        tab = [at(base.to_poly(c), root) for c in base.elements()]
         self.embed_tab = tuple(tab)
         if len(set(tab)) != base.q:
             raise RuntimeError("subfield embedding is not injective")
@@ -407,11 +410,6 @@ class ExtensionCtx:
     def embed_pair(self, a: int, b: int) -> tuple[int, ...]:
         """Coordinates of (a, b) in GF(q)^(2*ell) under the power basis."""
         return self.to_coords(a) + self.to_coords(b)
-
-    def unembed_pair(self, vec: Sequence[int]) -> tuple[int, int]:
-        if len(vec) != 2 * self.ell:
-            raise ValueError(f"expected {2 * self.ell} coordinates")
-        return self.from_coords(vec[: self.ell]), self.from_coords(vec[self.ell :])
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -549,3 +549,46 @@ def test_fuzzed_code_files_exit_cleanly(tmp_path, capsys, data):
     code, _, err = _run(capsys, ["verify", "mds", "--code", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def _argv(*words):
+    return [str(w) for w in words]
+
+
+_FUZZ_ARGV = st.one_of(
+    st.builds(
+        lambda q, members: _argv("geometry", "regulus", "--q", q, "--members", *members),
+        st.integers(2, 4),
+        st.lists(st.integers(-2, 20), min_size=3, max_size=3),
+    ),
+    # ell stays at most 2: an admitted spread-check at larger ell runs for seconds
+    st.builds(
+        lambda q, ell, n: _argv("construct", "desarguesian", "--q", q, "--ell", ell, "--n", n),
+        st.integers(2, 5),
+        st.integers(-1, 2),
+        st.integers(-1, 30),
+    ),
+    st.builds(lambda case: _argv("construct", "exceptional", "--case", case), st.text(max_size=6)),
+    st.builds(
+        lambda q, samples, seed: _argv(
+            "check", "converse", "--q", q, "--samples", samples, "--seed", seed
+        ),
+        st.sampled_from((3, 4)),
+        st.sampled_from((-1, 0, 1, 3)),
+        st.integers(),
+    ),
+    st.builds(
+        lambda n, r, ell, q: _argv("bound", "--n", n, "--r", r, "--ell", ell, "--q", q),
+        *[st.integers(-2, 12)] * 4,
+    ),
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_FUZZ_ARGV)
+def test_fuzzed_argv_exit_cleanly(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 
 from mdsrepair.code import is_mds, serialize
 from mdsrepair.constructions import (
+    _SWAP,
     build_exceptional,
     build_two_parity_code,
     check_block_intersection_bound,
@@ -18,7 +19,7 @@ from mdsrepair.constructions import (
     w_g_subspace,
     wb_subspace,
 )
-from mdsrepair.geometry import INF, conjugate_spread, desarguesian_spread
+from mdsrepair.geometry import INF, desarguesian_spread
 from mdsrepair.gf import field_of_order, make_extension
 from mdsrepair.linalg import intersect_dim, projective_point_count
 from mdsrepair.repair import counting_bound, repair_report
@@ -193,7 +194,7 @@ def test_mobius_image_matches_direct_transport():
 
 def test_hit_set_against_naive_intersection():
     ext = _ext(3)
-    tilde = conjugate_spread(ext)
+    spread = desarguesian_spread(3, 2)
     rng = random.Random(41)
     for _ in range(6):
         while True:
@@ -204,9 +205,9 @@ def test_hit_set_against_naive_intersection():
         w = w_g_subspace(ext, g)
         got = hit_set(w, ext, g=g)
         naive = {
-            label
-            for label in tilde.labels
-            if intersect_dim(w, tilde.member(label)) == 1
+            mobius_image(ext, _SWAP, label)
+            for label in spread.labels
+            if intersect_dim(w, spread.member(label)) == 1
         }
         assert got == frozenset(naive)
 
@@ -279,8 +280,9 @@ def test_converse_exhaustive_q3():
     assert report.reguli == 30
     assert [f.n for f in report.forward] == [6, 7, 8, 9, 10]
     for f in report.forward:
-        assert f.attained
+        assert f.code_attains_io
         assert f.beta_avg == f.beta_max == f.bound
+        assert f.gamma_avg == f.gamma_max == f.bound
     by_n = {c.n: c for c in report.converse}
     assert set(by_n) == {3, 4, 5}
     assert all(c.mode == "exhaustive" for c in report.converse)

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
+from mdsrepair.constructions import _SWAP, mobius_image
 from mdsrepair.gf import field_of_order, make_extension
 from mdsrepair.geometry import (
     INF,
-    conjugate_member,
-    conjugate_spread,
     desarguesian_member,
     desarguesian_spread,
     hit_set_counts,
@@ -62,21 +61,22 @@ def test_member_shapes():
             assert y == ext.top.mul(c, x)
 
 
-def test_conjugate_spread_mirrors_the_graphs():
+def test_swap_map_mirrors_the_graphs():
+    # the mirror member {(s*x, x)} is the field spread member of label
+    # mobius_image(_SWAP, s): 1/s, with 0 and INF swapped
     ext = make_extension(field_of_order(3), 2)
-    tilde = conjugate_spread(ext)
-    assert is_spread(ext.base, 2, tilde.members)
+    spread = desarguesian_spread(3, 2)
     for s in (0, 2, 7):
-        mem = conjugate_member(ext, s)
+        mem = spread.member(mobius_image(ext, _SWAP, s))
         for row in mem.basis_rows():
             x = ext.from_coords(row[:2])
             y = ext.from_coords(row[2:])
             assert x == ext.top.mul(s, y)
-    assert conjugate_member(ext, INF) == desarguesian_member(ext, 0)
-    assert conjugate_member(ext, 0) == desarguesian_member(ext, INF)
+    assert mobius_image(ext, _SWAP, INF) == 0
+    assert mobius_image(ext, _SWAP, 0) is INF
     # nonzero labels match reciprocally: {(sx, x)} = {(x', s^-1 x')}
     for s in (1, 4, 6):
-        assert conjugate_member(ext, s) == desarguesian_member(ext, ext.top.inv(s))
+        assert mobius_image(ext, _SWAP, s) == ext.top.inv(s)
 
 
 def test_is_spread_rejects_defects():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -14,7 +15,8 @@ from mdsrepair.gf import (
     make_field,
     prime_power,
 )
-from mdsrepair.geometry import conjugate_spread, desarguesian_spread
+from mdsrepair.constructions import _SWAP, mobius_image
+from mdsrepair.geometry import desarguesian_spread
 
 
 def test_prime_field_arithmetic():
@@ -151,7 +153,7 @@ def test_embed_pair_round_trip():
         a, b = rng.randrange(9), rng.randrange(9)
         vec = ext.embed_pair(a, b)
         assert len(vec) == 4
-        assert ext.unembed_pair(vec) == (a, b)
+        assert (ext.from_coords(vec[:2]), ext.from_coords(vec[2:])) == (a, b)
 
 
 def test_field_contexts_are_cached_and_comparable():
@@ -185,7 +187,7 @@ def test_field_tables_match_sympy_products():
 
         def code_of(g):
             digits = [int(c) % f.p for c in g.all_coeffs()[::-1]]
-            return f.from_poly(digits + [0] * (f.m - len(digits)))
+            return sum(d * f.p**i for i, d in enumerate(digits))
 
         if f.has_tables:
             pairs = [(a, b) for a in range(q) for b in range(a, q)]
@@ -212,6 +214,19 @@ def test_field_tables_are_pinned():
     assert digest.hexdigest() == (
         "aae254b4b84e4a122f98b3de3c62fdd97351f6d5eec0ad93bedb246b0b765abe"
     )
+
+@pytest.mark.parametrize("q, ell, pinned", [
+    (256, 2, "4f5c31e8af86fd2cc6987fd11d4d8b7c77a413f336570466daa91b3265aa4dc1"),
+    (16, 4, "b6a9cfd27f562937431d093a543e6bfe91f93c1a93469b64561ca8434e4eb4de"),
+])
+def test_embeddings_at_the_cap_are_pinned_and_fast(q, ell, pinned):
+    # the subfield root comes from a norm scan and its conjugates; pinned
+    # under the former in-order scan of the top field for the smallest root
+    t0 = time.perf_counter()
+    ext = make_extension(field_of_order(q), ell)
+    assert time.perf_counter() - t0 < 3
+    assert hashlib.sha256(repr(ext.embed_tab).encode()).hexdigest() == pinned
+
 
 def _extension_grid(top_limit):
     """Every (q, ell) with ell >= 2 and q^ell <= top_limit, q a prime power."""
@@ -244,17 +259,19 @@ def test_coordinates_round_trip_on_every_element(q, ell):
 
 
 def test_spread_members_are_pinned():
-    # sha256 over the member entries of both field spreads, on a grid with
+    # sha256 over the field spread's member entries, then the same members
+    # in mirror order (labels read through the swap map), on a grid with
     # bases of degree m > 1; pinned under the former GF(p) change of basis
-    # coordinates, which the power basis must reproduce
+    # coordinates and the former separate mirror spread
     digest = hashlib.sha256()
     grid = ((2, 3), (2, 4), (4, 2), (4, 3), (8, 2), (8, 3), (9, 2), (9, 3), (16, 2),
             (25, 2), (27, 2), (3, 4), (5, 3))
     for q, ell in grid:
         ext = make_extension(field_of_order(q), ell)
-        for spread in (desarguesian_spread(q, ell), conjugate_spread(ext)):
-            for member in spread.members:
-                digest.update(member.entries)
+        spread = desarguesian_spread(q, ell)
+        mirror = [spread.member(mobius_image(ext, _SWAP, s)) for s in spread.labels]
+        for member in spread.members + tuple(mirror):
+            digest.update(member.entries)
     assert digest.hexdigest() == (
         "cf7220f746a74448acaa036155c91f0c793b7485ae0a5ea2336a6b0489133f6e"
     )

@@ -5,7 +5,7 @@ from pathlib import Path
 import mdsrepair
 
 KNOB_CEILING = 11
-CACHE_CEILING = 11
+CACHE_CEILING = 10
 
 
 def _knobs():
