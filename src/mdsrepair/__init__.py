@@ -20,7 +20,6 @@ from .code import (
 from .constructions import (
     BlockBoundCert,
     ConverseReport,
-    TwoParityPlan,
     build_exceptional,
     build_two_parity_code,
     check_block_intersection_bound,
@@ -38,9 +37,7 @@ from .geometry import (
     desarguesian_spread,
     is_regular_spread,
     is_spread,
-    opposite_regulus,
     regulus_through,
-    transversal_regulus,
 )
 from .gf import ExtensionCtx, FieldCtx, field_of_order, make_extension, make_field
 from .linalg import (

@@ -1,16 +1,19 @@
 """Bound attaining codes built on field spreads.
 
-Two families repair every node at the counting bound for r = 2.  The long
+Two families repair every node at the counting bound for r = 2, and both
+builders return the code with one repair witness per node.  The long
 family stores the field spread members {(x, c*x)} for labels c in a set
-Omega covering two norm cosets, and repairs node c through one of the two
-twisted subspaces W_b = {(x, b*x^q)}.  The three short codes below the
-coset threshold store mirror members {(s*x, x)}, the field spread
-members read through the swap map s -> 1/s (0 <-> INF), and repair through
-images of GF(q)^2 under a handful of fixed GL_2(GF(q^2)) elements, chosen
-so that their hit sets cover Omega while missing each node once.  Both
-families plant their probes through one routine: a node's columns hold
-every point a probe pins inside it, and the first probe missing the node
-repairs it.
+Omega covering the norm kernel and one other norm coset, building only
+those members, and repairs node c through one of the two twisted
+subspaces W_b = {(x, b*x^q)}.  The three short codes below the coset
+threshold store mirror members {(s*x, x)}, the field spread members read
+through the swap map s -> 1/s (0 <-> INF), and repair through images of
+GF(q)^2 under a handful of fixed GL_2(GF(q^2)) elements, chosen so that
+their hit sets cover Omega while missing each node once.  Every member
+and probe is the span of pairs of GF(q^ell) elements
+(geometry.pair_span).  Both families plant their probes through one
+routine: a node's columns hold every point a probe pins inside it, and
+the first probe missing the node repairs it.
 
 Hit sets are read off projective point masks (Spread.meets).  They also
 drive the converse search: over a field spread every non member line
@@ -26,23 +29,19 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .code import ArrayCode, code_from_intrinsic, is_mds
+from .code import ArrayCode, code_from_intrinsic
 from .gf import ExtensionCtx, extension_order, field_of_order, make_extension
 from .geometry import (
     INF,
     Label,
     Spread,
     _field_spread,
+    desarguesian_member,
     desarguesian_spread,
     hit_set_counts,
+    pair_span,
 )
-from .linalg import (
-    Subspace,
-    proj_point,
-    projective_point_count,
-    projective_points,
-    subspace_intersection,
-)
+from .linalg import Subspace, point_at, projective_point_count, projective_points
 from .repair import RepairReport, RepairWitness, counting_bound, make_witnesses, repair_report
 
 
@@ -72,28 +71,7 @@ def wb_subspace(ext: ExtensionCtx, b: int) -> Subspace:
     if b == 0:
         raise ValueError("b must be nonzero")
     top = ext.top
-    q = ext.base.q
-    rows = []
-    for j in range(ext.ell):
-        e = ext.from_coords(tuple(1 if t == j else 0 for t in range(ext.ell)))
-        rows.append(ext.embed_pair(e, top.mul(b, top.pow(e, q))))
-    return Subspace.from_rows(ext.base, 2 * ext.ell, rows)
-
-
-@dataclass(frozen=True)
-class TwoParityPlan:
-    """The choices behind a two parity code, one entry per node of omega."""
-
-    q: int
-    ell: int
-    n: int
-    sigma: frozenset[int]
-    b1: int
-    b2: int
-    coset1: frozenset[int]
-    coset2: frozenset[int]
-    omega: tuple[Label, ...]
-    assigned_b: tuple[int, ...]
+    return pair_span(ext, ((e, top.mul(b, top.pow(e, ext.base.q))) for e in ext.basis))
 
 
 def _fill_columns(
@@ -120,25 +98,23 @@ def _planted_code(
 ) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
     """The code on subspaces, every node repaired through a probe at target.
 
-    Each probe that meets a node pins one point inside it, and the node's
-    columns are forced to contain every such point, which makes the access
-    cost of each probe match its download cost.  Each node is repaired
-    through the first probe that misses it.
+    Each probe that meets a node pins one point inside it, read off the
+    one bit the two point masks share, and the node's columns are forced
+    to contain every such point, which makes the access cost of each probe
+    match its download cost.  Each node is repaired through the first
+    probe that misses it.
     """
     repairs: list[Subspace] = []
     columns: list[tuple[tuple[int, ...], ...]] = []
     for i, member in enumerate(subspaces):
-        hits = [w for w in probes if w.point_mask & member.point_mask]
-        misses = [w for w in probes if not w.point_mask & member.point_mask]
-        if not misses:
+        meets = [w.point_mask & member.point_mask for w in probes]
+        if all(meets):
             raise AssertionError(f"every probe meets node {i}")
-        repairs.append(misses[0])
-        forced = set()
-        for w in hits:
-            meet = subspace_intersection(w, member)
-            if meet.dim != 1:
-                raise AssertionError(f"a probe meets node {i} off a line")
-            forced.add(proj_point(member.field, meet.basis_rows()[0]))
+        repairs.append(probes[meets.index(0)])
+        if any(m & (m - 1) for m in meets):
+            raise AssertionError(f"a probe meets node {i} off a line")
+        q, d = member.field.q, member.ambient_dim
+        forced = {point_at(q, d, m.bit_length() - 1) for m in meets if m}
         if len(forced) > member.dim:
             raise AssertionError(f"node {i} holds more pinned points than columns")
         columns.append(_fill_columns(member, sorted(forced)))
@@ -151,18 +127,20 @@ def _planted_code(
 
 def build_two_parity_code(
     q: int, ell: int, n: int
-) -> tuple[ArrayCode, tuple[RepairWitness, ...], TwoParityPlan | None]:
+) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
     """An (n, n-2, ell) code over GF(q) repairing every node at the bound.
 
-    Omega holds both norm cosets b1*Sigma and b2*Sigma plus the smallest
-    unused labels (INF last).  A coset node is repaired through the
-    twisted subspace of the other coset's representative, every other
-    node through W_b1; each coset node's column set is forced to contain
-    the one point the opposite witness pins inside it, which is what makes
-    the access cost match the download cost.
+    Omega holds both norm cosets Sigma and b2*Sigma, b2 the smallest unit
+    outside the norm kernel Sigma, plus the smallest unused labels (INF
+    last); node c stores the field spread member {(x, c*x)}.  A coset node
+    is repaired through the twisted subspace of the other coset's
+    representative (1 or b2), every other node through W_1; each coset
+    node's column set is forced to contain the one point the opposite
+    witness pins inside it, which is what makes the access cost match the
+    download cost.
 
-    Lengths below 2*(q^ell-1)/(q-1) fall to the three short mirror spread
-    codes; those return plan None.
+    Lengths below 2*(q^ell-1)/(q-1) fall to the three short catalog codes
+    of build_exceptional.
     """
     if q == 2:
         raise ValueError("the two parity construction needs q >= 3")
@@ -175,43 +153,24 @@ def build_two_parity_code(
     if not lo <= n <= hi:
         raise ValueError(f"n = {n} outside the feasible range [{lo}, {hi}]")
     if n < 2 * t:
-        code, wits = build_exceptional(f"q{q}n{n}")
-        return code, wits, None
+        return build_exceptional(f"q{q}n{n}")
 
     ext = make_extension(field_of_order(q), ell)
     top = ext.top
     sigma = norm_kernel(ext)
-    b1 = min(top.units())
-    b2 = min(u for u in top.units() if ext.norm(u) != ext.norm(b1))
-    coset1 = frozenset(top.mul(b1, u) for u in sigma)
+    b2 = next(u for u in top.units() if u not in sigma)
     coset2 = frozenset(top.mul(b2, u) for u in sigma)
-    if coset1 & coset2:
+    if sigma & coset2:
         raise AssertionError("norm cosets are not disjoint")
-    core = coset1 | coset2
+    core = sigma | coset2
     extra = [c for c in top.elements() if c not in core][: n - 2 * t]
     omega: tuple[Label, ...] = tuple(sorted(core | set(extra)))
     if len(omega) < n:
         omega = omega + (INF,)
 
-    spread = desarguesian_spread(q, ell)
-    probes = (wb_subspace(ext, b1), wb_subspace(ext, b2))
-    code, witnesses = _planted_code(
-        [spread.member(c) for c in omega], probes, counting_bound(n, 2, ell, q)
-    )
-    assigned = tuple(b1 if wit.space == probes[0] else b2 for wit in witnesses)
-    plan = TwoParityPlan(
-        q=q,
-        ell=ell,
-        n=n,
-        sigma=sigma,
-        b1=b1,
-        b2=b2,
-        coset1=coset1,
-        coset2=coset2,
-        omega=omega,
-        assigned_b=assigned,
-    )
-    return code, witnesses, plan
+    probes = (wb_subspace(ext, 1), wb_subspace(ext, b2))
+    nodes = [desarguesian_member(ext, c) for c in omega]
+    return _planted_code(nodes, probes, counting_bound(n, 2, ell, q))
 
 
 def w_g_subspace(ext: ExtensionCtx, g: Sequence[Sequence[int]]) -> Subspace:
@@ -222,8 +181,7 @@ def w_g_subspace(ext: ExtensionCtx, g: Sequence[Sequence[int]]) -> Subspace:
     top = ext.top
     if top.sub(top.mul(a, d), top.mul(b, c)) == 0:
         raise ValueError("g must be invertible")
-    rows = [ext.embed_pair(a, c), ext.embed_pair(b, d)]
-    return Subspace.from_rows(ext.base, 2 * ext.ell, rows)
+    return pair_span(ext, ((a, c), (b, d)))
 
 
 def mobius_image(ext: ExtensionCtx, g: Sequence[Sequence[int]], s: Label) -> Label:
@@ -245,15 +203,17 @@ def mobius_image(ext: ExtensionCtx, g: Sequence[Sequence[int]], s: Label) -> Lab
 _SWAP = ((0, 1), (1, 0))
 
 
-def hit_set(w: Subspace, ext: ExtensionCtx, *, g: Sequence[Sequence[int]]) -> frozenset[Label]:
+def hit_set(
+    w: Subspace, spread: Spread, ext: ExtensionCtx, *, g: Sequence[Sequence[int]]
+) -> frozenset[Label]:
     """Mirror labels of the members meeting w, the image of GF(q)^2 under g.
 
-    The hits are read on the field spread, whose labels map to mirror
-    labels through _SWAP.  A non member w meets each hit member in a line,
-    never more, and the result is checked against the fractional linear
-    image of P^1(GF(q)), the embedded subfield plus INF, under g.
+    The hits are read on spread, the field spread of ext, whose labels map
+    to mirror labels through _SWAP.  A non member w meets each hit member
+    in a line, never more, and the result is checked against the
+    fractional linear image of P^1(GF(q)), the embedded subfield plus INF,
+    under g.
     """
-    spread = _field_spread(ext)
     hits = spread.meets(w)
     if w not in spread.members and any(
         (spread.members[j].point_mask & w.point_mask).bit_count() != 1 for j in hits
@@ -294,6 +254,7 @@ _EXC_HITS: dict[int, tuple[frozenset[Label], ...]] = {
 def build_exceptional(case: str) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
     """One of the three short codes meeting the bound below the coset range.
 
+    The field spread is built once, for the probe checks and the nodes.
     Node s stores the mirror member {(s*x, x)}, read off the field spread
     as the member of label mobius_image(ext, _SWAP, s), and is repaired
     through the first probe subspace whose hit set misses s.  Each node's
@@ -306,16 +267,14 @@ def build_exceptional(case: str) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
     except KeyError:
         raise ValueError(f"unknown case {case!r}") from None
     ext = make_extension(field_of_order(q), 2)
-    expected = _EXC_HITS[q]
+    spread = _field_spread(ext)
     probes = tuple(w_g_subspace(ext, g) for g in _EXC_GENS[q])
-    for w, g, hits in zip(probes, _EXC_GENS[q], expected):
-        if hit_set(w, ext, g=g) != hits:
+    for w, g, hits in zip(probes, _EXC_GENS[q], _EXC_HITS[q]):
+        if hit_set(w, spread, ext, g=g) != hits:
             raise AssertionError("probe hit set differs from the recorded one")
 
-    target = counting_bound(len(omega), 2, 2, q)
-    spread = _field_spread(ext)
     nodes = [spread.member(mobius_image(ext, _SWAP, s)) for s in omega]
-    return _planted_code(nodes, probes, target)
+    return _planted_code(nodes, probes, counting_bound(len(omega), 2, 2, q))
 
 
 @dataclass(frozen=True)
@@ -469,14 +428,3 @@ def regular_spread_converse_check(
         ok=ok,
     )
 
-
-def spread_subset_report(spread: Spread, combo: Sequence[int]):
-    """Exhaustive repair report for the code on the given spread members.
-
-    Cross checks the set inclusion shortcut used by the converse search
-    against the generic per node scan.
-    """
-    code = code_from_intrinsic([spread.members[j] for j in combo])
-    if not is_mds(code):
-        raise AssertionError("spread members always give an MDS code")
-    return repair_report(code)

@@ -299,8 +299,9 @@ class ExtensionCtx:
     Both fields are realised over the common prime field; the subfield is
     mapped in through the smallest root of its modulus in the top field.
     Coordinates refer to the power basis 1, y, .., y^(ell-1), y the class
-    of x in the top field: from_coords sums embed(v_j) * y^j, and to_coords
-    is a lookup in the table of all q^ell coordinate vectors, built once.
+    of x in the top field, held as `basis`: from_coords sums
+    embed(v_j) * y^j, and to_coords is a lookup in the table of all q^ell
+    coordinate vectors, built once.
     """
 
     __slots__ = (
@@ -309,7 +310,7 @@ class ExtensionCtx:
         "ell",
         "embed_tab",
         "_lift",
-        "_y_pows",
+        "basis",
         "_coords",
     )
 
@@ -369,7 +370,7 @@ class ExtensionCtx:
             table = {top.add(a, s): v + (c,) for c, s in scaled for a, v in table.items()}
         if len(table) != top.q:
             raise RuntimeError("power basis coordinate map is singular")
-        self._y_pows = tuple(y_pows)
+        self.basis = tuple(y_pows)
         self._coords = tuple(table[a] for a in top.elements())
 
     def embed(self, c: int) -> int:
@@ -391,7 +392,7 @@ class ExtensionCtx:
             raise ValueError(f"expected {self.ell} coordinates")
         top = self.top
         acc = 0
-        for v, y_pow in zip(vec, self._y_pows):
+        for v, y_pow in zip(vec, self.basis):
             acc = top.add(acc, top.mul(self.embed(v), y_pow))
         return acc
 

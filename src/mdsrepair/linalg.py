@@ -518,6 +518,19 @@ def _point_vectors(space: Subspace) -> list[tuple[int, ...]]:
     return [p for g in reversed(groups) for p in g]
 
 
+def point_at(q: int, ambient_dim: int, number: int) -> tuple[int, ...]:
+    """The normalised point with the given canonical number, inverting points_mask."""
+    lead = 0
+    while number >= q ** (ambient_dim - 1 - lead):
+        number -= q ** (ambient_dim - 1 - lead)
+        lead += 1
+    tail = []
+    for _ in range(ambient_dim - 1 - lead):
+        number, digit = divmod(number, q)
+        tail.append(digit)
+    return (0,) * lead + (1,) + tuple(reversed(tail))
+
+
 def points_mask(field: FieldCtx, ambient_dim: int, reps: Iterable[tuple[int, ...]]) -> int:
     """Bitmask of the given normalised point representatives, by canonical number.
 

@@ -17,7 +17,6 @@ from mdsrepair.constructions import (
     check_block_intersection_bound,
     hit_set,
     regular_spread_converse_check,
-    spread_subset_report,
     w_g_subspace,
 )
 from mdsrepair.geometry import (
@@ -26,7 +25,6 @@ from mdsrepair.geometry import (
     is_regular_spread,
     is_spread,
     regulus_through,
-    transversal_regulus,
 )
 from mdsrepair.gf import field_of_order, make_extension
 from mdsrepair.linalg import all_subspaces, intersect_dim
@@ -74,7 +72,7 @@ def test_criterion_02_two_parity_attainment():
     )
     failures = []
     for q, ell, n, cand in cases:
-        code, _, _ = build_two_parity_code(q, ell, n)
+        code, _ = build_two_parity_code(q, ell, n)
         rep = repair_report(code)
         target = ell * (n - 1) - (q**ell - 1) // (q - 1)
         exact = (
@@ -127,7 +125,8 @@ def test_criterion_03_exceptional_codes():
         4: (((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 2), (3, 1))),
     }
     for q, ext in ((3, ext3), (4, ext4)):
-        got = tuple(hit_set(w_g_subspace(ext, g), ext, g=g) for g in gens[q])
+        spread = desarguesian_spread(q, 2)
+        got = tuple(hit_set(w_g_subspace(ext, g), spread, ext, g=g) for g in gens[q])
         if got != recorded[q]:
             failures.append(f"hit sets q={q}")
     _verdict(
@@ -231,7 +230,7 @@ def test_criterion_07_geometry_suite():
         # q = 2 has only 30 outside lines, so the 50 requested samples
         # degrade to the full population there
         for m in rng.sample(outside, min(50, len(outside))):
-            if len(transversal_regulus(m, spread)) != q + 1:
+            if len(spread.meets(m)) != q + 1:
                 failures.append(f"q={q} transversal count")
                 break
         # uniqueness: any three lines of a regulus regenerate it
@@ -281,7 +280,10 @@ def test_criterion_08_no_attaining_node_below_six():
     reguli = set()
     mismatches = []
     for combo in itertools.combinations(range(10), 5):
-        rep = spread_subset_report(spread, combo)
+        code = code_from_intrinsic([spread.members[j] for j in combo])
+        if not is_mds(code).ok:
+            mismatches.append((combo, "not MDS"))
+        rep = repair_report(code)
         subsets += 1
         att = {pos for pos, nd in enumerate(rep.nodes) if nd.alpha == 4}
         node_attaining += bool(att)
@@ -304,7 +306,7 @@ def test_criterion_08_no_attaining_node_below_six():
     # attaining codes exist at every admissible longer length
     forward_ok = True
     for n in range(6, 11):
-        code, _, _ = build_two_parity_code(3, 2, n)
+        code, _ = build_two_parity_code(3, 2, n)
         rep = repair_report(code, budget=1000)
         forward_ok = forward_ok and bool(rep.code_attains_bw)
     elapsed = time.perf_counter() - t0
@@ -344,7 +346,8 @@ def test_criterion_09_block_bound_checker():
     }
     ok = True
     for ext, gs in gens.items():
-        family = [hit_set(w_g_subspace(ext, g), ext, g=g) for g in gs]
+        spread = desarguesian_spread(ext.base.q, 2)
+        family = [hit_set(w_g_subspace(ext, g), spread, ext, g=g) for g in gs]
         holds, cert = check_block_intersection_bound(family)
         ok = ok and holds and cert.n_effective >= cert.bound
         if ext is ext3:
@@ -376,8 +379,8 @@ def test_criterion_09_block_bound_checker():
 
 def test_criterion_10_simulator_fidelity():
     t0 = time.perf_counter()
-    constructed = [build_two_parity_code(3, 2, n)[:2] for n in (8, 9, 10)]
-    constructed += [build_two_parity_code(4, 2, n)[:2] for n in range(10, 18)]
+    constructed = [build_two_parity_code(3, 2, n) for n in (8, 9, 10)]
+    constructed += [build_two_parity_code(4, 2, n) for n in range(10, 18)]
     constructed += [build_exceptional(case) for case in ("q3n6", "q3n7", "q4n9")]
     codes = trials = mismatches = 0
     for code, wits in constructed:

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -309,7 +310,7 @@ def test_budget_without_a_repair_subspace_is_exit_1_without_traceback(tmp_path):
 
 def test_regularity_pass_over_the_line_budget_is_exit_1(capsys, monkeypatch):
     # PG(3, 3) has 130 lines
-    monkeypatch.setattr(geometry, "DEFAULT_ENUM_BUDGET", 129)
+    monkeypatch.setattr(geometry, "LINE_BUDGET", 129)
     code, out, err = _run(capsys, ["geometry", "regular", "--q", "3"])
     assert code == 1
     assert out == ""
@@ -322,10 +323,10 @@ def test_spread_check_over_the_pair_budget_is_exit_1(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the spread was built before the budget check")
 
-    monkeypatch.setattr(cli, "DEFAULT_ENUM_BUDGET", 136)
+    monkeypatch.setattr(cli, "PAIR_BUDGET", 136)
     code, out, _ = _run(capsys, ["geometry", "spread-check", "--q", "4"])
     assert code == 0 and out == "field spread of PG(3, 4): 17 members, ok\n"
-    monkeypatch.setattr(cli, "DEFAULT_ENUM_BUDGET", 135)
+    monkeypatch.setattr(cli, "PAIR_BUDGET", 135)
     monkeypatch.setattr(cli, "desarguesian_spread", refuse)
     code, out, err = _run(capsys, ["geometry", "spread-check", "--q", "4"])
     assert code == 1
@@ -337,17 +338,20 @@ def test_spread_check_over_the_pair_budget_is_exit_1(capsys, monkeypatch):
     "argv, message",
     [
         (["spread-check", "--q", "256", "--ell", "2"],
-         "2147516416 member pairs exceed the budget of 10000000"),
+         "2147516416 member pairs exceed the budget of 100000"),
         (["spread-check", "--q", "16", "--ell", "4"],
-         "2147516416 member pairs exceed the budget of 10000000"),
+         "2147516416 member pairs exceed the budget of 100000"),
         (["spread-check", "--q", "3", "--ell", "0"], "ell = 0 must be positive"),
         (["spread-check", "--q", "2", "--ell", "17"], "field size 2^17 exceeds cap 65536"),
         (["spread-check", "--q", "3", "--ell", str(10**9)],
          "field size 3^1000000000 exceeds cap 65536"),
-        (["regular", "--q", "256"], "4311875841 lines exceed the budget of 10000000"),
-        (["regular", "--q", "128"], "270565505 lines exceed the budget of 10000000"),
+        (["regular", "--q", "256"], "4311875841 lines exceed the budget of 50000"),
+        (["regular", "--q", "128"], "270565505 lines exceed the budget of 50000"),
         (["regular", "--q", "257"], "field size 257^2 exceeds cap 65536"),
         (["regular", "--q", "6"], "q = 6 is not a prime power"),
+        (["regular", "--q", "16"], "70161 lines exceed the budget of 50000"),
+        (["spread-check", "--q", "4", "--ell", "5"],
+         "524800 member pairs exceed the budget of 100000"),
     ],
 )
 def test_oversized_geometry_requests_are_refused_before_any_build(
@@ -363,6 +367,26 @@ def test_oversized_geometry_requests_are_refused_before_any_build(
     assert code == 1
     assert out == ""
     assert err == f"mdsrepair: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["regular", "--q", "32"], ["spread-check", "--q", "4", "--ell", "5"]]
+)
+def test_geometry_checks_over_their_budgets_exit_1_at_once(argv):
+    # admitted, the first walks 1,083,425 lines for minutes, the second ranks
+    # 524,800 member pairs in about 14 s
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdsrepair.cli", "geometry", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert " exceed the budget of " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -485,7 +509,7 @@ def test_stdin_pipe_between_subcommands():
 
 
 def test_structured_output_round_trips_to_file(capsys, tmp_path):
-    code, wits, _ = build_two_parity_code(3, 2, 9)
+    code, wits = build_two_parity_code(3, 2, 9)
     path = tmp_path / "nine.json"
     path.write_text(serialize(code))
     rc, out, _ = _run(
@@ -555,13 +579,16 @@ def _argv(*words):
     return [str(w) for w in words]
 
 
+_CODE_FILE = "<q3n8 code file>"  # replaced by a file written in the test's tmp_path
+
+
 _FUZZ_ARGV = st.one_of(
     st.builds(
         lambda q, members: _argv("geometry", "regulus", "--q", q, "--members", *members),
         st.integers(2, 4),
         st.lists(st.integers(-2, 20), min_size=3, max_size=3),
     ),
-    # ell stays at most 2: an admitted spread-check at larger ell runs for seconds
+    # ell stays at most 2, where every admitted construct takes milliseconds
     st.builds(
         lambda q, ell, n: _argv("construct", "desarguesian", "--q", q, "--ell", ell, "--n", n),
         st.integers(2, 5),
@@ -581,6 +608,38 @@ _FUZZ_ARGV = st.one_of(
         lambda n, r, ell, q: _argv("bound", "--n", n, "--r", r, "--ell", ell, "--q", q),
         *[st.integers(-2, 12)] * 4,
     ),
+    st.builds(
+        lambda q, ell: _argv("geometry", "spread-check", "--q", q, "--ell", ell),
+        st.integers(2, 5),
+        st.integers(-1, 3),
+    ),
+    st.just(_argv("geometry", "spread-check", "--q", 4, "--ell", 5)),  # refused
+    # 16, 32 and 64 are refused by the line budget
+    st.builds(
+        lambda q: _argv("geometry", "regular", "--q", q),
+        st.integers(-1, 9) | st.sampled_from((16, 32, 64)),
+    ),
+    st.builds(
+        lambda node, trials, budget: _argv(
+            "simulate", "repair", "--code", _CODE_FILE, "--node", node,
+            "--trials", trials, "--budget", budget,
+        ),
+        st.integers(-2, 10),
+        st.integers(1, 3),
+        st.integers(1, 400),
+    ),
+    st.just(_argv("verify", "mds", "--code", _CODE_FILE)),
+    # r stops at 3: at (q, ell, r) = (2, 2, 4) random_mds_code exhausts its
+    # retries on the length with no code, which takes about 48 s
+    st.builds(
+        lambda q, ell, r, trials: _argv(
+            "check", "strictness", "--q", q, "--ell", ell, "--r", r, "--trials", trials
+        ),
+        st.sampled_from((2, 3)),
+        st.sampled_from((1, 2)),
+        st.sampled_from((2, 3)),
+        st.integers(1, 2),
+    ),
 )
 
 
@@ -588,7 +647,11 @@ _FUZZ_ARGV = st.one_of(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(argv=_FUZZ_ARGV)
-def test_fuzzed_argv_exit_cleanly(capsys, argv):
+def test_fuzzed_argv_exit_cleanly(capsys, tmp_path, argv):
+    code_file = tmp_path / "q3n8.json"
+    if not code_file.exists():
+        code_file.write_text(serialize(build_two_parity_code(3, 2, 8)[0]))
+    argv = [str(code_file) if word == _CODE_FILE else word for word in argv]
     code, _, err = _run(capsys, argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mdsrepair.code import is_mds, serialize
+from mdsrepair.code import code_from_intrinsic, is_mds, serialize
 from mdsrepair.constructions import (
     _SWAP,
     build_exceptional,
@@ -15,12 +15,11 @@ from mdsrepair.constructions import (
     mobius_image,
     norm_kernel,
     regular_spread_converse_check,
-    spread_subset_report,
     w_g_subspace,
     wb_subspace,
 )
-from mdsrepair.geometry import INF, desarguesian_spread
-from mdsrepair.gf import field_of_order, make_extension
+from mdsrepair.geometry import INF, desarguesian_member, desarguesian_spread
+from mdsrepair.gf import field_of_order, make_extension, prime_power
 from mdsrepair.linalg import intersect_dim, projective_point_count
 from mdsrepair.repair import counting_bound, repair_report
 
@@ -67,40 +66,57 @@ def test_wb_subspace_hits_exactly_the_coset():
                     assert d == 0
 
 
+def test_b2_off_the_norm_kernel_matches_the_norm_oracle():
+    # build_two_parity_code takes b2 as the smallest unit outside
+    # norm_kernel; ExtensionCtx.norm is the independent oracle
+    cases = 0
+    for q in range(3, 33):
+        try:
+            prime_power(q)
+        except ValueError:
+            continue
+        for ell in range(2, 11):
+            if q**ell > 1024:
+                break
+            ext = _ext(q, ell)
+            sigma = norm_kernel(ext)
+            b2 = next(u for u in ext.top.units() if u not in sigma)
+            assert b2 == min(u for u in ext.top.units() if ext.norm(u) != 1)
+            cases += 1
+    assert cases == 29
+
+
 def test_wb_rejects_zero():
     with pytest.raises(ValueError):
         wb_subspace(_ext(3), 0)
 
 
 def test_two_parity_q3_plan():
-    code, wits, plan = build_two_parity_code(3, 2, 8)
-    assert plan is not None
-    assert (plan.q, plan.ell, plan.n) == (3, 2, 8)
-    assert plan.sigma == frozenset({1, 2, 3, 6})
-    assert (plan.b1, plan.b2) == (1, 4)
-    assert plan.coset1 == frozenset({1, 2, 3, 6})
-    assert plan.coset2 == frozenset({4, 5, 7, 8})
-    assert plan.omega == (1, 2, 3, 4, 5, 6, 7, 8)
+    # omega is the norm kernel {1, 2, 3, 6} and the coset 4 * kernel
+    # {4, 5, 7, 8}; kernel nodes repair through W_4, the others through W_1
+    ext = _ext(3)
+    code, wits = build_two_parity_code(3, 2, 8)
+    assert norm_kernel(ext) == frozenset({1, 2, 3, 6})
+    omega = (1, 2, 3, 4, 5, 6, 7, 8)
+    assert code.node_subspaces == tuple(desarguesian_member(ext, c) for c in omega)
     assert len(wits) == 8
     assert is_mds(code).ok
-    # nodes in the first coset repair through W_{b2}, everyone else through W_{b1}
-    for label, b in zip(plan.omega, plan.assigned_b):
-        assert b == (plan.b2 if label in plan.coset1 else plan.b1)
+    for label, wit in zip(omega, wits):
+        b = 4 if label in norm_kernel(ext) else 1
+        assert wit.space == wb_subspace(ext, b)
 
 
 def test_two_parity_q3_node_sets_grow_with_n():
-    omegas = {}
-    for n in (8, 9, 10):
-        _, _, plan = build_two_parity_code(3, 2, n)
-        omegas[n] = plan.omega
-    assert omegas[9] == (0, 1, 2, 3, 4, 5, 6, 7, 8)
-    assert omegas[10] == (0, 1, 2, 3, 4, 5, 6, 7, 8, INF)
-    assert set(omegas[8]) < set(omegas[9]) < set(omegas[10])
+    ext = _ext(3)
+    omegas = {9: tuple(range(9)), 10: tuple(range(9)) + (INF,)}
+    for n, omega in omegas.items():
+        code, _ = build_two_parity_code(3, 2, n)
+        assert code.node_subspaces == tuple(desarguesian_member(ext, c) for c in omega)
 
 
 def test_two_parity_q3_attains_everywhere():
     for n in (8, 9, 10):
-        code, wits, _ = build_two_parity_code(3, 2, n)
+        code, wits = build_two_parity_code(3, 2, n)
         target = 2 * (n - 1) - 4
         assert counting_bound(n, 2, 2, 3) == target
         for wit in wits:
@@ -114,10 +130,15 @@ def test_two_parity_q3_attains_everywhere():
 
 
 def test_two_parity_q4_spot_checks():
+    ext = _ext(4)
+    sigma = norm_kernel(ext)
+    assert sigma == frozenset({1, 8, 10, 12, 15})
     for n in (10, 17):
-        code, wits, plan = build_two_parity_code(4, 2, n)
-        assert plan.sigma == frozenset({1, 8, 10, 12, 15})
-        assert (plan.b1, plan.b2) == (1, 2)
+        code, wits = build_two_parity_code(4, 2, n)
+        # b2 = 2, the smallest unit outside the kernel, repairs the kernel nodes
+        for h, wit in zip(code.node_subspaces, wits):
+            in_kernel = any(h == desarguesian_member(ext, c) for c in sigma)
+            assert wit.space == wb_subspace(ext, 2 if in_kernel else 1)
         target = 2 * (n - 1) - 5
         assert all(w.bw == target and w.io == target for w in wits)
         rep = repair_report(code, budget=1000)
@@ -143,8 +164,8 @@ def test_two_parity_dispatches_short_lengths():
     # below 2(q+1) nodes the coset construction cannot work; the catalog
     # codes take over for the lengths where attainment is still possible
     for q, n in ((3, 6), (3, 7), (4, 9)):
-        code, wits, plan = build_two_parity_code(q, 2, n)
-        assert plan is None
+        code, wits = build_two_parity_code(q, 2, n)
+        assert (code, wits) == build_exceptional(f"q{q}n{n}")
         assert code.n == n
         target = 2 * (n - 1) - (q + 1)
         assert all(w.bw == target and w.io == target for w in wits)
@@ -159,7 +180,7 @@ def test_planted_codes_are_byte_identical():
     for q, ell in ((3, 2), (4, 2), (3, 3)):
         t = projective_point_count(ell, q)
         for n in range(min(2 * t, 3 * t - 6), q**ell + 2):
-            cases.append(build_two_parity_code(q, ell, n)[:2])
+            cases.append(build_two_parity_code(q, ell, n))
     cases += [build_exceptional(case) for case in ("q3n6", "q3n7", "q4n9")]
     for code, wits in cases:
         digest.update(serialize(code).encode())
@@ -177,6 +198,7 @@ def test_mobius_image_matches_direct_transport():
     rng = random.Random(40)
     for q in (3, 4):
         ext = _ext(q)
+        spread = desarguesian_spread(q, 2)
         top = ext.top
         base_line = [ext.embed(c) for c in ext.base.elements()] + [INF]
         for _ in range(8):
@@ -186,7 +208,7 @@ def test_mobius_image_matches_direct_transport():
                     break
             g = ((a, b), (c, d))
             w = w_g_subspace(ext, g)
-            got = hit_set(w, ext, g=g)
+            got = hit_set(w, spread, ext, g=g)
             want = frozenset(mobius_image(ext, g, s) for s in base_line)
             assert got == want
             assert len(got) == q + 1
@@ -203,7 +225,7 @@ def test_hit_set_against_naive_intersection():
                 break
         g = ((a, b), (c, d))
         w = w_g_subspace(ext, g)
-        got = hit_set(w, ext, g=g)
+        got = hit_set(w, spread, ext, g=g)
         naive = {
             mobius_image(ext, _SWAP, label)
             for label in spread.labels
@@ -230,15 +252,16 @@ def test_exceptional_probe_hit_sets():
     # three probe subspaces per case cover the node set; recorded here,
     # recomputed from scratch inside the builder
     ext3, ext4 = _ext(3), _ext(4)
+    spread3, spread4 = desarguesian_spread(3, 2), desarguesian_spread(4, 2)
     gs3 = (((1, 0), (0, 1)), ((3, 1), (0, 1)), ((0, 6), (1, 3)))
-    probes3 = tuple(hit_set(w_g_subspace(ext3, g), ext3, g=g) for g in gs3)
+    probes3 = tuple(hit_set(w_g_subspace(ext3, g), spread3, ext3, g=g) for g in gs3)
     assert probes3 == (
         frozenset({INF, 0, 1, 2}),
         frozenset({INF, 1, 4, 7}),
         frozenset({0, 2, 4, 7}),
     )
     gs4 = (((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 2), (3, 1)))
-    probes4 = tuple(hit_set(w_g_subspace(ext4, g), ext4, g=g) for g in gs4)
+    probes4 = tuple(hit_set(w_g_subspace(ext4, g), spread4, ext4, g=g) for g in gs4)
     assert probes4 == (
         frozenset({INF, 0, 1, 6, 7}),
         frozenset({INF, 0, 2, 12, 14}),
@@ -247,9 +270,9 @@ def test_exceptional_probe_hit_sets():
 
 
 def test_block_bound_on_probe_families():
-    ext = _ext(3)
+    ext, spread = _ext(3), desarguesian_spread(3, 2)
     gs = (((1, 0), (0, 1)), ((3, 1), (0, 1)), ((0, 6), (1, 3)))
-    family = [hit_set(w_g_subspace(ext, g), ext, g=g) for g in gs]
+    family = [hit_set(w_g_subspace(ext, g), spread, ext, g=g) for g in gs]
     ok, cert = check_block_intersection_bound(family)
     assert ok
     assert cert.t == 4
@@ -305,7 +328,9 @@ def test_converse_shortcut_matches_regulus_membership():
     combos = [tuple(sorted(rng.sample(range(10), 5))) for _ in range(6)]
     combos.append((0, 1, 2, 3, 4))
     for combo in combos:
-        rep = spread_subset_report(spread, combo)
+        code = code_from_intrinsic([spread.members[j] for j in combo])
+        assert is_mds(code).ok
+        rep = repair_report(code)
         assert rep.bound == bound5 and rep.exhaustive
         for pos, nd in enumerate(rep.nodes):
             others = [spread.members[j] for p, j in enumerate(combo) if p != pos]

@@ -8,15 +8,14 @@ from mdsrepair.constructions import _SWAP, mobius_image
 from mdsrepair.gf import field_of_order, make_extension
 from mdsrepair.geometry import (
     INF,
+    Regulus,
     desarguesian_member,
     desarguesian_spread,
     hit_set_counts,
     is_regular_spread,
     is_spread,
-    opposite_regulus,
     regulus_through,
     replace_regulus,
-    transversal_regulus,
 )
 from mdsrepair.linalg import all_subspaces, intersect_dim
 
@@ -104,9 +103,9 @@ def test_regulus_through_three_members():
                 assert intersect_dim(l1, l2) == 0
             for t in reg.transversals:
                 assert all(intersect_dim(t, l) == 1 for l in reg.lines)
-            opp = opposite_regulus(reg)
-            assert opp.lines == reg.transversals
-            assert opp.transversals == reg.lines
+            # the transversals are again a regulus, with the lines as its transversals
+            opp = Regulus(reg.transversals, reg.lines)
+            assert regulus_through(*opp.lines[:3]) == opp
 
 
 def test_regulus_needs_skew_lines():
@@ -182,7 +181,7 @@ def test_every_outside_line_meets_exactly_q_plus_1_members():
         outside = _nonmember_lines(field, s)
         assert len(outside) + len(s) == len(all_subspaces(field, 4, 2))
         for m in outside:
-            hit = transversal_regulus(m, s)
+            hit = [s.members[j] for j in s.meets(m)]
             assert len(hit) == q + 1
             # every point of m lies on exactly one member, so the meets are points
             assert all(intersect_dim(m, L) == 1 for L in hit)
@@ -194,22 +193,16 @@ def test_transversal_members_of_a_regular_spread_form_a_regulus():
     rng = random.Random(21)
     outside = _nonmember_lines(field, s)
     for m in rng.sample(outside, 10):
-        hit = transversal_regulus(m, s)
+        hit = [s.members[j] for j in s.meets(m)]
         reg = regulus_through(hit[0], hit[1], hit[2])
         assert set(reg.lines) == set(hit)
         assert m in reg.transversals
-
-
-def test_transversal_regulus_rejects_members():
-    s = desarguesian_spread(3, 2)
-    with pytest.raises(ValueError):
-        transversal_regulus(s.members[0], s)
 
 
 def test_distinct_reguli_share_at_most_two_members():
     s = desarguesian_spread(3, 2)
     rng = random.Random(22)
     outside = _nonmember_lines(s.field, s)
-    sets = {transversal_regulus(m, s) for m in rng.sample(outside, 30)}
+    sets = {s.meets(m) for m in rng.sample(outside, 30)}
     for a, b in itertools.combinations(sets, 2):
-        assert len(set(a) & set(b)) <= 2
+        assert len(a & b) <= 2

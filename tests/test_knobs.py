@@ -76,3 +76,39 @@ def _unused_imports():
 
 def test_no_unused_imports():
     assert _unused_imports() == []
+
+
+def _unreferenced_exports():
+    """Names the package __init__ re-exports that no package module reads, tracer targets aside.
+
+    A reference is an ast Name or Attribute anywhere in a package module
+    other than __init__, outside the top-level statement that defines the
+    name.
+    """
+    package = Path(mdsrepair.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {
+        a.asname or a.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+    }
+    referenced = set()
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            referenced |= names - {getattr(stmt, "name", None)}
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    targets = next(
+        node.value for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS"
+    )
+    traced = {func for _, func in ast.literal_eval(targets)}
+    return sorted(exported - referenced - traced)
+
+
+def test_every_export_has_a_package_reader():
+    assert _unreferenced_exports() == []

@@ -19,6 +19,7 @@ from mdsrepair.linalg import (
     intersect_dim,
     inverse,
     kernel,
+    point_at,
     points_mask,
     proj_point,
     projective_point_count,
@@ -306,8 +307,9 @@ def test_row_reduction_kernels_fixed_answers():
 
 @pytest.mark.parametrize("q, d", [(2, 4), (3, 4), (4, 4), (2, 5), (3, 3), (5, 3)])
 def test_point_numbers_are_a_bijection_that_agrees_with_proj_point(q, d):
-    # every nonzero vector gets the number of its projective point, and the
-    # numbers run through range(point count) once each, by leading 1 and tail
+    # every nonzero vector gets the number of its projective point, the
+    # numbers run through range(point count) once each, by leading 1 and tail,
+    # and point_at reads the point back off its number
     f = field_of_order(q)
     seen = {}
     for vec in itertools.product(range(q), repeat=d):
@@ -315,6 +317,7 @@ def test_point_numbers_are_a_bijection_that_agrees_with_proj_point(q, d):
             rep = proj_point(f, vec)
             num = points_mask(f, d, [rep]).bit_length() - 1
             assert seen.setdefault(rep, num) == num
+            assert point_at(q, d, num) == rep
     assert sorted(seen.values()) == list(range(projective_point_count(d, q)))
     assert sorted(seen, key=seen.get) == sorted(seen, key=lambda rep: (rep.index(1), rep))
 

@@ -387,7 +387,7 @@ def test_rank_oracle_runs_once_per_distinct_repair_subspace(monkeypatch):
         return _rank_profile(code, w)
 
     monkeypatch.setattr(repair, "_rank_profile", counting)
-    code, planted, _ = build_two_parity_code(3, 3, 26)
+    code, planted = build_two_parity_code(3, 3, 26)
     assert len(calls) == len({wit.space for wit in planted}) == 2
     for _ in range(2):  # a second report on the same code runs the oracle again
         calls.clear()

@@ -14,7 +14,7 @@ from mdsrepair.sim import erase_and_repair, sample_codeword
 
 
 def test_sample_codeword_is_deterministic_and_valid():
-    code, _, _ = build_two_parity_code(3, 2, 8)
+    code, _ = build_two_parity_code(3, 2, 8)
     a = sample_codeword(code, 5)
     b = sample_codeword(code, 5)
     c = sample_codeword(code, 6)
@@ -55,7 +55,7 @@ def test_a_corrupted_codeword_basis_is_refused(monkeypatch):
     # H B = 0 is checked once, when the basis of a code is built: a basis
     # with one entry off must make sampling raise, since no per-sample
     # check is left to catch it
-    code, _, _ = build_two_parity_code(3, 2, 8)
+    code, _ = build_two_parity_code(3, 2, 8)
     rows = [list(row) for row in codeword_space(code).basis_rows()]
     rows[0][0] = code.field.add(rows[0][0], 1)
     bad = Subspace.from_rows(code.field, code.n * code.ell, rows)
@@ -69,13 +69,13 @@ def test_a_corrupted_codeword_basis_is_refused(monkeypatch):
 
 
 def test_sampled_words_spread_over_the_code():
-    code, _, _ = build_two_parity_code(3, 2, 8)
+    code, _ = build_two_parity_code(3, 2, 8)
     words = {sample_codeword(code, seed).flat() for seed in range(25)}
     assert len(words) >= 20
 
 
 def test_repair_recovers_every_node_of_the_planted_schemes():
-    code, wits, _ = build_two_parity_code(3, 2, 8)
+    code, wits = build_two_parity_code(3, 2, 8)
     for seed in range(5):
         cw = sample_codeword(code, seed)
         for node, wit in enumerate(wits):
@@ -103,7 +103,7 @@ def test_repair_counters_match_witness_profile():
 def test_masked_access_is_sufficient():
     # transmissions are computed from masked blocks, so a successful match
     # certifies that the unread coordinates never mattered
-    code, wits, _ = build_two_parity_code(3, 2, 9)
+    code, wits = build_two_parity_code(3, 2, 9)
     cw = sample_codeword(code, 11)
     for node in (0, 4, 8):
         trace = erase_and_repair(code, cw, node, wits[node])
@@ -126,7 +126,7 @@ def test_repair_with_optimal_witness_on_random_codes():
 
 
 def test_repair_rejects_mismatched_witness():
-    code, wits, _ = build_two_parity_code(3, 2, 8)
+    code, wits = build_two_parity_code(3, 2, 8)
     cw = sample_codeword(code, 0)
     with pytest.raises(ValueError):
         erase_and_repair(code, cw, 1, wits[0])
@@ -147,7 +147,7 @@ def test_repair_rejects_tampered_profile():
 def test_repair_rejects_witness_with_foreign_space():
     # the matrix still repairs node 0 at the witness's costs; only its
     # kernel differs from the recorded space
-    code, wits, _ = build_two_parity_code(3, 2, 8)
+    code, wits = build_two_parity_code(3, 2, 8)
     cw = sample_codeword(code, 4)
     other = next(w.space for w in wits[1:] if w.space != wits[0].space)
     with pytest.raises(ValueError, match="kernel"):
@@ -170,7 +170,7 @@ def test_witness_checks_run_once_per_witness(monkeypatch):
     # the kernel, M H_i and per-helper checks depend on the witness alone:
     # five trials through one witness reduce its matrix's kernel once, and a
     # tampered witness still fails on every trial
-    code, wits, _ = build_two_parity_code(3, 2, 8)
+    code, wits = build_two_parity_code(3, 2, 8)
     calls = []
     real = sim.kernel
 
