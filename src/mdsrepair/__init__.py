@@ -69,7 +69,6 @@ from .repair import (
     random_mds_code,
     repair_report,
     verify_bound_sweep,
-    verify_strictness_sweep,
 )
 from .sim import RepairTrace, erase_and_repair, sample_codeword
 

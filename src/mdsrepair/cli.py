@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .code import MDS_CAP, ArrayCode, deserialize, is_mds, serialize
+from .code import MDS_CAP, ArrayCode, deserialize, is_mds, length_bound, serialize
 from .constructions import (
     build_exceptional,
     build_two_parity_code,
@@ -41,14 +41,14 @@ from .repair import (
     counting_bound,
     optimal_alpha,
     repair_report,
-    verify_strictness_sweep,
+    verify_bound_sweep,
 )
 from .sim import erase_and_repair, sample_codeword
 
 FORMATS = ("table", "csv", "structured")
-# spread-check ranks every pair of members, at a cost that grows with ell:
-# PG(15, 2)'s 32,896 pairs take about 2.5 s, PG(17, 2)'s 131,328 about 13 s
-PAIR_BUDGET = 100_000
+# spread-check ranks every pair of members at a cost near ell^2 each: pairs
+# times ell^2 runs 1-1.5 s per million, PG(5, 8) 1.18 M and PG(17, 2) 10.6 M
+PAIR_WORK_BUDGET = 4_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,8 +312,10 @@ def _cmd_repair(a: argparse.Namespace) -> int:
 def _cmd_geometry(a: argparse.Namespace) -> int:
     if a.action == "spread-check":
         pairs = math.comb(extension_order(a.q, a.ell) + 1, 2)
-        if pairs > PAIR_BUDGET:
-            raise BudgetExceededError(f"{pairs} member pairs exceed the budget of {PAIR_BUDGET}")
+        if pairs * a.ell**2 > PAIR_WORK_BUDGET:
+            raise BudgetExceededError(
+                f"{pairs} member pairs x ell^2 exceed the budget of {PAIR_WORK_BUDGET}"
+            )
         spread = desarguesian_spread(a.q, a.ell)
         check = is_spread(spread.field, spread.ell, spread.members)
         print(
@@ -357,12 +359,16 @@ def _cmd_check(a: argparse.Namespace) -> int:
         )
         return 0
     if a.action == "strictness":
-        result = verify_strictness_sweep(a.q, a.ell, a.r, trials=a.trials, seed=a.seed)
-        good = result.ok  # an equality case fails the report, so it is a violation
+        if a.r < 3 or a.ell < 2:
+            raise ValueError("strictness requires r >= 3 and ell >= 2")
+        res = verify_bound_sweep(a.q, a.ell, a.r, trials=a.trials, seed=a.seed)
+        top = counting_bound(length_bound(a.q, a.ell, a.r), a.r, a.ell, a.q)
+        good = res.ok and not res.equality_cases
         print(
-            f"{result.codes_tested} codes over GF({a.q}) with r = {a.r}: min slack "
-            f"{result.min_slack}, {len(result.equality_cases)} equality cases, "
-            f"{len(result.violations)} violations {_verdict(good)}"
+            f"{res.codes_tested} codes over GF({a.q}) with r = {a.r}: min slack {res.min_slack}, "
+            f"{len(res.equality_cases)} equality cases, {len(res.violations)} violations, "
+            f"{res.sampling_failures} sampling failures; bound <= {top} at every MDS length"
+            f"{', vacuous' if top <= 0 else ''} {_verdict(good)}"
         )
         return 0 if good else 2
     report = regular_spread_converse_check(a.q, samples=a.samples, seed=a.seed)

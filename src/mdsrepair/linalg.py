@@ -292,9 +292,7 @@ def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
     """U meet V as the annihilator of ann U + ann V."""
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    out = annihilator(subspace_sum(annihilator(u), annihilator(v)))
-    assert out.dim == intersect_dim(u, v)
-    return out
+    return annihilator(subspace_sum(annihilator(u), annihilator(v)))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

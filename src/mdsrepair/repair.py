@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from ._kernel import rre_rank
-from .code import ArrayCode, code_from_intrinsic, is_mds
-from .gf import FieldCtx
+from .code import ArrayCode, code_from_intrinsic, is_mds, length_bound
+from .gf import FieldCtx, field_of_order
 from .linalg import (
     BudgetExceededError,
     DEFAULT_ENUM_BUDGET,
@@ -442,8 +442,11 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     the attainment flags are dropped from the aggregate properties.  A
     prefix holding no repair subspace for some node raises
     BudgetExceededError.  Every report asserts lambda <= alpha per node;
-    an exhaustive one also asserts the capacity invariants, beta >= bound
-    and, for r >= 3 and ell >= 2, beta != bound.
+    an exhaustive one also asserts the capacity invariants and beta >=
+    bound, which hold when the node subspaces pairwise meet trivially, as
+    every MDS code's do (a code repeating a node can break them).  For r
+    >= 3 and ell >= 2 the bound is negative at every MDS length, so beta >
+    bound goes unchecked.
     """
     if code.n < 2:
         raise ValueError("repair needs at least one helper, so n >= 2")
@@ -493,10 +496,6 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                 )
             if beta < bound:
                 raise AssertionError(f"node {i}: bandwidth {beta} undercuts the bound {bound}")
-            if code.r >= 3 and code.ell >= 2 and beta == bound:
-                raise AssertionError(
-                    f"node {i}: bandwidth meets the bound, impossible for r >= 3, ell >= 2"
-                )
         summaries.append(
             NodeRepair(
                 node=i,
@@ -633,9 +632,6 @@ def verify_bound_sweep(
     GF(q)^(r*ell), is refused above the cache limit before any length is
     listed.
     """
-    from .code import length_bound
-    from .gf import field_of_order
-
     if r < 2 or ell < 1:
         raise ValueError("need r >= 2 and ell >= 1")
     field = field_of_order(q)
@@ -694,21 +690,3 @@ def verify_bound_sweep(
         equality_cases=tuple(equalities),
         violations=tuple(violations),
     )
-
-
-def verify_strictness_sweep(
-    q: int,
-    ell: int,
-    r: int,
-    *,
-    trials: int,
-    seed: int = 0,
-) -> SweepResult:
-    """Check beta_i > bound strictly on random MDS codes, for r >= 3, ell >= 2.
-
-    verify_bound_sweep at these parameters: repair_report asserts beta !=
-    bound there, so an equality case is a violation.
-    """
-    if r < 3 or ell < 2:
-        raise ValueError("strictness requires r >= 3 and ell >= 2")
-    return verify_bound_sweep(q, ell, r, trials=trials, seed=seed)

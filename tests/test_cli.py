@@ -220,7 +220,11 @@ def test_check_strictness_small(capsys):
         capsys, ["check", "strictness", "--q", "2", "--r", "3", "--trials", "3"]
     )
     assert code == 0
-    assert "0 equality cases" in out and "ok" in out
+    assert out.startswith("3 codes over GF(2) with r = 3: min slack ")
+    assert out.endswith(
+        ", 0 equality cases, 0 violations, 0 sampling failures; bound <= -5 at every MDS "
+        "length, vacuous ok\n"
+    )
 
 
 def test_check_converse_q3(capsys):
@@ -318,29 +322,37 @@ def test_regularity_pass_over_the_line_budget_is_exit_1(capsys, monkeypatch):
 
 
 def test_spread_check_over_the_pair_budget_is_exit_1(capsys, monkeypatch):
-    # the field spread of PG(3, 4) has 17 members, so 136 pairs to test
+    # the field spread of PG(3, 4) has 17 members, so 136 pairs to test at
+    # ell^2 = 4 each: 544 units of work
 
     def refuse(*args):
         raise AssertionError("the spread was built before the budget check")
 
-    monkeypatch.setattr(cli, "PAIR_BUDGET", 136)
+    monkeypatch.setattr(cli, "PAIR_WORK_BUDGET", 544)
     code, out, _ = _run(capsys, ["geometry", "spread-check", "--q", "4"])
     assert code == 0 and out == "field spread of PG(3, 4): 17 members, ok\n"
-    monkeypatch.setattr(cli, "PAIR_BUDGET", 135)
+    monkeypatch.setattr(cli, "PAIR_WORK_BUDGET", 543)
     monkeypatch.setattr(cli, "desarguesian_spread", refuse)
     code, out, err = _run(capsys, ["geometry", "spread-check", "--q", "4"])
     assert code == 1
     assert out == ""
-    assert err == "mdsrepair: error: 136 member pairs exceed the budget of 135\n"
+    assert err == "mdsrepair: error: 136 member pairs x ell^2 exceed the budget of 543\n"
+
+
+def test_spread_check_budget_counts_pairs_times_ell_squared(capsys):
+    # PG(5, 8) has as many member pairs as PG(17, 2), 131,328, but ell = 3
+    # against 9: its 1.18 M pairs x ell^2 pass, where PG(17, 2)'s 10.6 M do not
+    code, out, _ = _run(capsys, ["geometry", "spread-check", "--q", "8", "--ell", "3"])
+    assert code == 0 and out == "field spread of PG(5, 8): 513 members, ok\n"
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["spread-check", "--q", "256", "--ell", "2"],
-         "2147516416 member pairs exceed the budget of 100000"),
+         "2147516416 member pairs x ell^2 exceed the budget of 4000000"),
         (["spread-check", "--q", "16", "--ell", "4"],
-         "2147516416 member pairs exceed the budget of 100000"),
+         "2147516416 member pairs x ell^2 exceed the budget of 4000000"),
         (["spread-check", "--q", "3", "--ell", "0"], "ell = 0 must be positive"),
         (["spread-check", "--q", "2", "--ell", "17"], "field size 2^17 exceeds cap 65536"),
         (["spread-check", "--q", "3", "--ell", str(10**9)],
@@ -351,7 +363,9 @@ def test_spread_check_over_the_pair_budget_is_exit_1(capsys, monkeypatch):
         (["regular", "--q", "6"], "q = 6 is not a prime power"),
         (["regular", "--q", "16"], "70161 lines exceed the budget of 50000"),
         (["spread-check", "--q", "4", "--ell", "5"],
-         "524800 member pairs exceed the budget of 100000"),
+         "524800 member pairs x ell^2 exceed the budget of 4000000"),
+        (["spread-check", "--q", "2", "--ell", "9"],
+         "131328 member pairs x ell^2 exceed the budget of 4000000"),
     ],
 )
 def test_oversized_geometry_requests_are_refused_before_any_build(
@@ -468,16 +482,55 @@ def test_strictness_pool_over_the_cache_limit_is_exit_1(ell):
 
 
 def test_check_strictness_reports_a_failed_report_as_a_violation(capsys, monkeypatch):
+    # the bound raised by 11, one past the smallest slack of these five codes,
+    # is undercut: that report raises, and the sweep keeps it as a violation
+    bound = repair.counting_bound
+    monkeypatch.setattr(repair, "counting_bound", lambda *args: bound(*args) + 11)
+    code, out, err = _run(capsys, ["check", "strictness", "--q", "2", "--r", "3", "--trials", "5"])
+    assert code == 2
+    assert err == ""
+    assert out.startswith("5 codes over GF(2) with r = 3: min slack ")
+    assert out.endswith(" 0 sampling failures; bound <= -5 at every MDS length, vacuous FAIL\n")
+    assert " 0 violations" not in out
+
+
+def test_check_strictness_fails_on_an_equality_case(capsys, monkeypatch):
     # the bound raised by 10, the smallest slack of these five codes, plants an
-    # equality case, which the report itself refuses at r = 3, ell = 2
+    # equality case; no report refuses it, and the check fails on it
     bound = repair.counting_bound
     monkeypatch.setattr(repair, "counting_bound", lambda *args: bound(*args) + 10)
     code, out, err = _run(capsys, ["check", "strictness", "--q", "2", "--r", "3", "--trials", "5"])
     assert code == 2
     assert err == ""
-    assert out.startswith("5 codes over GF(2) with r = 3: min slack ")
-    assert out.endswith(" violations FAIL\n")
-    assert " 0 violations" not in out
+    found = re.fullmatch(
+        r"5 codes over GF\(2\) with r = 3: min slack 0, (\d+) equality cases, 0 violations, "
+        r"0 sampling failures; bound <= -5 at every MDS length, vacuous FAIL\n",
+        out,
+    )
+    assert found and int(found[1]) > 0
+
+
+def test_check_strictness_counts_sampling_failures(capsys, monkeypatch):
+    # no (6, 2, 2) MDS code exists over GF(2) at r = 4, so the second trial
+    # exhausts its retries (three here, not 10,000) and the line says so
+    monkeypatch.setattr(repair, "_RETRY_CAP", 3)
+    argv = ["check", "strictness", "--q", "2", "--r", "4", "--trials", "2", "--seed", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("1 codes over GF(2) with r = 4: min slack ")
+    assert out.endswith(
+        ", 0 equality cases, 0 violations, 1 sampling failures; bound <= -51 at every MDS "
+        "length, vacuous ok\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["--r", "2"], ["--ell", "1"]], ids=["r2", "ell1"])
+def test_strictness_below_three_parities_or_ell_two_is_exit_1(capsys, argv):
+    code, out, err = _run(capsys, ["check", "strictness", *argv, "--trials", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "mdsrepair: error: strictness requires r >= 3 and ell >= 2\n"
 
 
 def test_internal_check_failure_is_exit_2_without_traceback(capsys, monkeypatch):
@@ -630,7 +683,7 @@ _FUZZ_ARGV = st.one_of(
     ),
     st.just(_argv("verify", "mds", "--code", _CODE_FILE)),
     # r stops at 3: at (q, ell, r) = (2, 2, 4) random_mds_code exhausts its
-    # retries on the length with no code, which takes about 48 s
+    # retries on the length with no code, which takes about 16-19 s
     st.builds(
         lambda q, ell, r, trials: _argv(
             "check", "strictness", "--q", q, "--ell", ell, "--r", r, "--trials", trials

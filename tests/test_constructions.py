@@ -68,7 +68,8 @@ def test_wb_subspace_hits_exactly_the_coset():
 
 def test_b2_off_the_norm_kernel_matches_the_norm_oracle():
     # build_two_parity_code takes b2 as the smallest unit outside
-    # norm_kernel; ExtensionCtx.norm is the independent oracle
+    # norm_kernel, the image of u -> u^(q-1); ExtensionCtx.norm is the
+    # independent oracle, whose fibre over 1 must be that image
     cases = 0
     for q in range(3, 33):
         try:
@@ -80,6 +81,7 @@ def test_b2_off_the_norm_kernel_matches_the_norm_oracle():
                 break
             ext = _ext(q, ell)
             sigma = norm_kernel(ext)
+            assert sigma == frozenset(u for u in ext.top.units() if ext.norm(u) == 1)
             b2 = next(u for u in ext.top.units() if u not in sigma)
             assert b2 == min(u for u in ext.top.units() if ext.norm(u) != 1)
             cases += 1

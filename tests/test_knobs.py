@@ -4,7 +4,7 @@ from pathlib import Path
 
 import mdsrepair
 
-KNOB_CEILING = 11
+KNOB_CEILING = 10
 CACHE_CEILING = 10
 
 

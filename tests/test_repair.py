@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mdsrepair import cli, linalg, repair
 from mdsrepair._kernel import rre_rank
-from mdsrepair.code import ArrayCode, code_from_intrinsic, serialize
+from mdsrepair.code import ArrayCode, code_from_intrinsic, is_mds, length_bound, serialize
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
@@ -41,7 +41,6 @@ from mdsrepair.repair import (
     random_mds_code,
     repair_report,
     verify_bound_sweep,
-    verify_strictness_sweep,
 )
 from mdsrepair.sim import erase_and_repair, sample_codeword
 
@@ -814,6 +813,42 @@ def test_node_capacity_clamp():
             assert nd.alpha <= rep.point_capacity
 
 
+def test_capacity_checks_need_nodes_that_meet_trivially():
+    # the checks hold when the node subspaces pairwise meet trivially; a
+    # second copy of member 1 lets W meet H_1 twice, and node 0 saves 4 of W's
+    # 3 points, which the report refuses
+    members = desarguesian_spread(2, 2).members
+    code = code_from_intrinsic(members[:5] + members[1:2])
+    assert (code.n, code.k, code.ell) == (6, 4, 2) and not is_mds(code).ok
+    with pytest.raises(
+        AssertionError, match="node 0: saving 4 exceeds the projective point capacity 3"
+    ):
+        repair_report(code)
+
+
+def _non_mds_code_at_the_bound():
+    """A (16, 13, 2) code over GF(2) whose node 0 meets every other node in a point."""
+    field = field_of_order(2)
+    e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    tails = [e[4], e[5], tuple(a ^ b for a, b in zip(e[4], e[5]))]
+    heads = [p + (0, 0) for p in itertools.product(range(2), repeat=4) if any(p)]
+    nodes = [Subspace.from_rows(field, 6, [e[4], e[5]])]
+    nodes += [Subspace.from_rows(field, 6, [p, tails[k % 3]]) for k, p in enumerate(heads)]
+    return code_from_intrinsic(nodes)
+
+
+def test_a_non_mds_code_may_meet_the_bound_at_three_parities():
+    # the bound is negative at every MDS length for r >= 3, ell >= 2, so the
+    # report does not check beta > bound; this non-MDS code meets it at node 0
+    code = _non_mds_code_at_the_bound()
+    assert (code.n, code.r, code.ell) == (16, 3, 2)
+    assert not is_mds(code).ok
+    rep = repair_report(code)
+    assert rep.exhaustive and rep.bound == 15
+    assert rep.nodes[0].beta == 15 and rep.nodes[0].attains_bw_bound
+    assert all(nd.beta == 17 for nd in rep.nodes[1:])
+
+
 def test_verify_bound_sweep_small():
     res = verify_bound_sweep(2, 2, 2, trials=4, seed=0)
     assert res.ok
@@ -857,16 +892,19 @@ def test_sweep_refuses_a_pool_over_the_cache_limit():
     # [3000, 1000]_2 is never counted; [12, 4]_2 = 13,910,980,083 is
     for ell in (1000, 4):
         with pytest.raises(BudgetExceededError, match="exceed the cache limit of 500000"):
-            verify_strictness_sweep(2, ell, 3, trials=1)
+            verify_bound_sweep(2, ell, 3, trials=1)
 
 
 def test_verify_strictness_sweep_small():
-    res = verify_strictness_sweep(2, 2, 3, trials=3, seed=0)
-    assert res.ok
+    # strictness for r >= 3, ell >= 2 is a sign fact: the bound is negative at
+    # every length an MDS code can have; check strictness samples it through
+    # verify_bound_sweep, whose codes all sit above the bound
+    for q, ell, r in itertools.product((2, 3, 4, 5, 7, 8, 9), (2, 3, 4), (3, 4, 5)):
+        assert counting_bound(length_bound(q, ell, r), r, ell, q) < 0
+    res = verify_bound_sweep(2, 2, 3, trials=3, seed=0)
+    assert res.ok and res.vacuous
     assert res.equality_cases == ()
     assert res.min_slack is not None and res.min_slack >= 1
-    with pytest.raises(ValueError):
-        verify_strictness_sweep(3, 2, 2, trials=1)
 
 
 def test_sweep_respects_explicit_lengths():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mdsrepair import sim
-from mdsrepair.code import code_from_intrinsic, codeword_space
+from mdsrepair.code import CodewordArr, code_from_intrinsic, codeword_space
 from mdsrepair.constructions import build_exceptional, build_two_parity_code
 from mdsrepair.geometry import desarguesian_spread
 from mdsrepair.gf import field_of_order
@@ -84,6 +84,33 @@ def test_repair_recovers_every_node_of_the_planted_schemes():
             assert trace.recovered == cw.blocks[node]
             assert trace.total_downloaded == wit.bw == 10
             assert trace.total_accessed == wit.io == 10
+
+
+def _basis_replay_misses(code, witness):
+    """Rows of the codeword basis whose erased block the witness does not rebuild exactly.
+
+    Repair is linear, so no miss here means every codeword is recovered.
+    """
+    ell = code.ell
+    misses = 0
+    for row in sim._codeword_basis(code):
+        cw = CodewordArr(tuple(tuple(row[i * ell : (i + 1) * ell]) for i in range(code.n)))
+        misses += not erase_and_repair(code, cw, witness.node, witness).match
+    return misses
+
+
+def test_a_wrong_sign_in_the_helper_sum_fails_the_basis_replay(monkeypatch):
+    # over GF(3), -1 != 1: summing the helpers' transmissions with +1 rebuilds
+    # the negated block, which the replay must catch at every node
+    code, wits = build_two_parity_code(3, 2, 8)
+    assert [_basis_replay_misses(code, wit) for wit in wits] == [0] * code.n
+    combine = sim.combine_rows
+    monkeypatch.setattr(
+        sim,
+        "combine_rows",
+        lambda field, coeffs, rows, width: combine(field, [1] * len(coeffs), rows, width),
+    )
+    assert all(_basis_replay_misses(code, wit) > 0 for wit in wits)
 
 
 def test_repair_counters_match_witness_profile():
