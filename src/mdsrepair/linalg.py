@@ -364,6 +364,7 @@ def _pivot_sets(q: int, d: int, dim: int) -> tuple[tuple[int, ...], tuple[_Pivot
 def subspace_at(field: FieldCtx, ambient_dim: int, dim: int, index: int) -> Subspace:
     """The subspace at position index of enumerate_subspaces(field, ambient_dim, dim).
 
+    The count of subspaces is the last pivot set's start plus its size.
     Finds the pivot set holding index, then writes the offset inside it
     into the free cells as base q odometer digits, the last cell least
     significant.
@@ -371,12 +372,12 @@ def subspace_at(field: FieldCtx, ambient_dim: int, dim: int, index: int) -> Subs
     _require_tables(field)
     if not 0 <= dim <= ambient_dim:
         raise ValueError("dim out of range")
-    total = gaussian_binomial(ambient_dim, dim, field.q)
-    if not 0 <= index < total:
-        raise IndexError(f"subspace {index} out of range for {total} subspaces")
     q = field.q
     d = ambient_dim
     starts, sets = _pivot_sets(q, d, dim)
+    total = starts[-1] + q ** len(sets[-1][2])
+    if not 0 <= index < total:
+        raise IndexError(f"subspace {index} out of range for {total} subspaces")
     k = bisect.bisect_right(starts, index) - 1
     pivots, base, free = sets[k]
     index -= starts[k]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import linalg
 from ._kernel import rre_rank
@@ -76,17 +76,55 @@ class RepairWitness:
     io: int
 
 
+class _Profile(NamedTuple):
+    """The rank oracle's profile of one repair subspace W: what every witness through W reads."""
+
+    space: Subspace
+    matrix: MatrixGF  # ell x (r*ell), with kernel W
+    dims: tuple[int, ...]  # per node j, dim(W meet H_j)
+    zs: tuple[int, ...]  # per node j, the count of H_j's column points in W
+    bw: int  # ell per helper, less the dims: the download of repairing a node W misses
+    io_all: int  # ell per node, less the zs: the reads over all n nodes
+    widest: int  # the largest of the dims
+
+    def io(self, node: int) -> int:
+        """The reads of repairing node through W: those of the other nodes."""
+        return self.io_all - (self.matrix.rows - self.zs[node])
+
+    def witness(self, node: int) -> RepairWitness:
+        """The witness of repairing node, which W must miss, through W."""
+        return RepairWitness(
+            node=node,
+            space=self.space,
+            matrix=self.matrix,
+            helper_dims=tuple((j, d) for j, d in enumerate(self.dims) if j != node),
+            helper_points=tuple((j, z) for j, z in enumerate(self.zs) if j != node),
+            bw=self.bw,
+            io=self.io(node),
+        )
+
+
 @dataclass(frozen=True)
 class NodeRepair:
+    """One node's optima; each witness is built from its W's profile when it is read."""
+
     node: int
     alpha: int
     lam: int
     beta: int
     gamma: int
-    alpha_witness: RepairWitness
-    lambda_witness: RepairWitness
+    alpha_profile: _Profile
+    lambda_profile: _Profile
     attains_bw_bound: bool
     attains_io_bound: bool
+
+    @property
+    def alpha_witness(self) -> RepairWitness:
+        return self.alpha_profile.witness(self.node)
+
+    @property
+    def lambda_witness(self) -> RepairWitness:
+        return self.lambda_profile.witness(self.node)
 
 
 @dataclass(frozen=True)
@@ -157,8 +195,38 @@ def _rank_profile(code: ArrayCode, w: Subspace) -> tuple[list[int], list[int], M
     for row in out:
         live |= int.from_bytes(row, "little")
     live_cols = live.to_bytes(width, "little")  # 0 exactly at the column points in W
-    zs = [live_cols[j * ell : (j + 1) * ell].count(0) for j in range(code.n)]
+    zs = [live_cols.count(0, j, j + ell) for j in range(0, width, ell)]
     return dims, zs, matrix
+
+
+def _profiles(code: ArrayCode, repairs: Sequence[tuple[int, Subspace]]) -> list[_Profile]:
+    """The profile of each (node, W) pair's W, which must miss H_node.
+
+    Each W must be a complement of H_node in the code's space.  The
+    profile and the repair matrix depend on the code and W alone, so each
+    distinct W runs the rank oracle once, which reduces the matrix and
+    profiles every node through it; pairs through the same W share its
+    profile.
+    """
+    ell = code.ell
+    full = ell * code.n  # both costs over all n nodes when W meets none
+    seen: dict[Subspace, _Profile] = {}
+    out = []
+    for node, w in repairs:
+        profile = seen.get(w)
+        if profile is None:
+            if w.ambient_dim != code.ambient_dim or w.field != code.field:
+                raise ValueError("repair subspace does not match the code")
+            if w.dim != (code.r - 1) * ell:
+                raise ValueError("repair subspace must have dimension (r-1)*ell")
+            dims, zs, matrix = _rank_profile(code, w)
+            profile = seen[w] = _Profile(
+                w, matrix, tuple(dims), tuple(zs), full - ell - sum(dims), full - sum(zs), max(dims)
+            )
+        if profile.dims[node] != 0:
+            raise ValueError("repair subspace meets the failed node's subspace")
+        out.append(profile)
+    return out
 
 
 def make_witnesses(
@@ -168,48 +236,10 @@ def make_witnesses(
 
     Each W must be a complement of H_node in the code's space; its repair
     matrix is the reduced basis of its annihilator, the matrix whose
-    kernel is W.  The profile and the matrix depend on the code and W
-    alone, so each distinct W runs the rank oracle once, which reduces the
-    matrix and profiles every node through it; the pair tuples and both
-    totals are built once per W, and every node repaired through W slices
-    its own witness out.
+    kernel is W.  The rank oracle runs once per distinct W.
     """
-    ell = code.ell
-    full = ell * code.n  # both costs over all n nodes when W meets none
-    # per W: the (j, dim(W meet H_j)) and (j, z_j) pairs over all n nodes,
-    # the bandwidth and I/O totals over all n, and the repair matrix
-    profiles: dict[Subspace, tuple] = {}
-    witnesses = []
-    for node, w in repairs:
-        profile = profiles.get(w)
-        if profile is None:
-            if w.ambient_dim != code.ambient_dim or w.field != code.field:
-                raise ValueError("repair subspace does not match the code")
-            if w.dim != (code.r - 1) * ell:
-                raise ValueError("repair subspace must have dimension (r-1)*ell")
-            dims, zs, matrix = _rank_profile(code, w)
-            profile = profiles[w] = (
-                tuple(enumerate(dims)),
-                tuple(enumerate(zs)),
-                full - sum(dims),
-                full - sum(zs),
-                matrix,
-            )
-        dim_pairs, z_pairs, bw_all, io_all, matrix = profile
-        if dim_pairs[node][1] != 0:
-            raise ValueError("repair subspace meets the failed node's subspace")
-        witnesses.append(
-            RepairWitness(
-                node=node,
-                space=w,
-                matrix=matrix,
-                helper_dims=dim_pairs[:node] + dim_pairs[node + 1 :],
-                helper_points=z_pairs[:node] + z_pairs[node + 1 :],
-                bw=bw_all - ell,
-                io=io_all - (ell - z_pairs[node][1]),
-            )
-        )
-    return tuple(witnesses)
+    pairs = list(repairs)
+    return tuple(p.witness(node) for (node, _), p in zip(pairs, _profiles(code, pairs)))
 
 
 def make_witness(code: ArrayCode, node: int, w: Subspace) -> RepairWitness:
@@ -257,19 +287,48 @@ def _add_bit(planes: list[int], x: int, start: int) -> None:
         planes.append(x)
 
 
-def _max_first(planes: list[int], live: int) -> tuple[int, int]:
-    """The largest count over the positions of live, and the lowest position holding it.
+def _add_planes(total: list[int], planes: Sequence[int]) -> None:
+    """Add the bit-sliced count planes to the bit-sliced counter total in one carry pass.
 
-    Narrows live plane by plane from the most significant one, keeping the
+    Both are least significant plane first; a carry out of total's top
+    plane becomes a new plane.
+    """
+    total.extend([0] * (len(planes) - len(total)))
+    carry = 0
+    k = 0
+    for x in planes:
+        t = total[k]
+        s = t ^ x
+        if carry:
+            total[k] = s ^ carry
+            carry = (t & x) | (s & carry)
+        else:
+            total[k] = s
+            carry = t & x
+        k += 1
+    while carry:
+        if k == len(total):
+            total.append(carry)
+            return
+        t = total[k]
+        total[k] = t ^ carry
+        carry &= t
+        k += 1
+
+
+def _top_level(planes: list[int], rest: int) -> tuple[int, int]:
+    """The largest count over the positions of rest, and the positions of rest holding it.
+
+    Narrows rest plane by plane from the most significant one, keeping the
     positions whose count has the bit whenever any of them does.
     """
     value = 0
     for k in range(len(planes) - 1, -1, -1):
-        hit = live & planes[k]
+        hit = rest & planes[k]
         if hit:
-            live = hit
+            rest = hit
             value |= 1 << k
-    return value, (live & -live).bit_length() - 1
+    return value, rest
 
 
 _Planes = tuple[tuple[int, ...], tuple[int, ...]]
@@ -352,14 +411,22 @@ def _scan(
     and W meets H_j where any plane of the first is set.  Over the cached
     incidence these depend on (H_j, column points) alone and are read
     through a memo; streamed or budget-cut blocks compute them afresh.
-    Summed over j they give each candidate's total intersection dimension
-    and total of column points in W.  No column point is checked here: ArrayCode has checked
-    that H_j's column points are independent points of H_j, so W holds at
-    most dim(W meet H_j) of them.  On the candidates missing H_i both
-    totals are node i's objectives.  The first maximizer in enumeration
-    order is the lowest position, and blocks merge with a strict >, so an
-    earlier block keeps a tie.  Maximizers are kept as positions; only the
-    distinct winners are rebuilt, by subspace_at.
+    Summed over j, each member's planes in one carry pass by _add_planes,
+    they give each candidate's total intersection dimension and total of
+    column points in W.  No column point is checked here: ArrayCode has
+    checked that H_j's column points are independent points of H_j, so W
+    holds at most dim(W meet H_j) of them.  On the candidates missing H_i
+    both totals are node i's objectives.  Every node's maximum comes from
+    one level descent per objective: the top level of the totals over the
+    candidates left, narrowed plane by plane, gives its value to every
+    pending node that misses one of its candidates, at the lowest such
+    position, which is the first maximizer in enumeration order; the level
+    then leaves, and the next one serves the nodes still pending.  Their
+    misses all lie below the levels taken, so each gets its own maximum.
+    Blocks merge with a strict >, so an earlier block keeps a tie.
+    Maximizers are kept as positions; only the distinct winners are
+    rebuilt, by subspace_at.  All masks stay non-negative, so no operation
+    takes CPython's two's-complement path over the candidate width.
     """
     f = code.field
     d = code.ambient_dim
@@ -391,20 +458,30 @@ def _scan(
                 if cached:
                     _planes_memo.put(key, planes)
             dims, captured = planes  # the per-family part: sum the members' counts
-            for k, x in enumerate(dims):
-                _add_bit(dim_total, x, k)
-            for k, x in enumerate(captured):
-                _add_bit(pts_total, x, k)
+            _add_planes(dim_total, dims)
+            _add_planes(pts_total, captured)
             meets.append(reduce(or_, dims, 0))
         live = (1 << length) - 1
-        for i in range(code.n):
-            miss = live & ~meets[i]
-            if not miss:
-                continue
-            for best, totals in ((best_dim, dim_total), (best_pts, pts_total)):
-                value, pos = _max_first(totals, miss)
-                if i not in best or value > best[i][0]:
-                    best[i] = (value, start + pos)
+        pending = [i for i in range(code.n) if meets[i] != live]
+        for best, totals in ((best_dim, dim_total), (best_pts, pts_total)):
+            rest = live  # holds every pending node's misses
+            todo = pending
+            while todo:
+                if not rest:
+                    raise AssertionError("the level descent left a node without a maximum")
+                value, level = _top_level(totals, rest)
+                rest ^= level
+                left = []
+                for i in todo:
+                    hit = level & meets[i]
+                    if hit == level:
+                        left.append(i)
+                        continue
+                    miss = level ^ hit
+                    pos = (miss ^ (miss - 1)).bit_length() - 1  # its lowest set bit
+                    if i not in best or value > best[i][0]:
+                        best[i] = (value, start + pos)
+                todo = left
         scanned += length
     winners = {pos for best in (best_dim, best_pts) for _, pos in best.values()}
     spaces = {pos: subspace_at(f, d, wdim, pos) for pos in winners}
@@ -441,12 +518,15 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     alpha and lambda become lower bounds, beta and gamma upper bounds, and
     the attainment flags are dropped from the aggregate properties.  A
     prefix holding no repair subspace for some node raises
-    BudgetExceededError.  Every report asserts lambda <= alpha per node;
-    an exhaustive one also asserts the capacity invariants and beta >=
-    bound, which hold when the node subspaces pairwise meet trivially, as
-    every MDS code's do (a code repeating a node can break them).  For r
-    >= 3 and ell >= 2 the bound is negative at every MDS length, so beta >
-    bound goes unchecked.
+    BudgetExceededError.  After the scan the rank oracle runs once per
+    distinct winning W, and every node's checks read that W's profile:
+    the W misses H_i, both costs equal the scan's maxima, and lambda <=
+    alpha.  An exhaustive report also asserts the capacity invariants and
+    beta >= bound, which hold when the node subspaces pairwise meet
+    trivially, as every MDS code's do (a code repeating a node can break
+    them).  For r >= 3 and ell >= 2 the bound is negative at every MDS
+    length, so beta > bound goes unchecked.  Each node's witnesses are
+    built from the profiles when they are read.
     """
     if code.n < 2:
         raise ValueError("repair needs at least one helper, so n >= 2")
@@ -464,19 +544,20 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                     f"of {total} candidates"
                 )
             raise AssertionError("no feasible repair subspace found")
-    # alpha and lambda witnesses alternate; one rank-oracle run per distinct W
-    wits = make_witnesses(
+    # alpha and lambda profiles alternate; one rank-oracle run per distinct W
+    profiles = _profiles(
         code, [(i, best[i][1]) for i in range(code.n) for best in (best_dim, best_pts)]
     )
+    ell = code.ell
     summaries = []
-    for i, wit_a, wit_l in zip(range(code.n), wits[::2], wits[1::2]):
+    for i, prof_a, prof_l in zip(range(code.n), profiles[::2], profiles[1::2]):
         alpha = best_dim[i][0]
         lam = best_pts[i][0]
         if lam > alpha:
             raise AssertionError(f"node {i}: lambda {lam} exceeds alpha {alpha}")
-        beta = code.ell * (code.n - 1) - alpha
-        gamma = code.ell * (code.n - 1) - lam
-        for cost, got, want in (("bw", wit_a.bw, beta), ("io", wit_l.io, gamma)):
+        beta = ell * (code.n - 1) - alpha
+        gamma = ell * (code.n - 1) - lam
+        for cost, got, want in (("bw", prof_a.bw, beta), ("io", prof_l.io(i), gamma)):
             if got != want:
                 raise AssertionError(
                     f"node {i}: the mask scan and the rank oracle disagree on {cost}"
@@ -486,7 +567,8 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                 raise AssertionError(
                     f"node {i}: saving {alpha} exceeds the projective point capacity {cap}"
                 )
-            if alpha == cap and any(d > 1 for _, d in wit_a.helper_dims):
+            # W misses H_i, so its widest meet is a helper's
+            if alpha == cap and prof_a.widest > 1:
                 raise AssertionError(
                     f"node {i}: bound attained but a helper intersection exceeds dim 1"
                 )
@@ -503,8 +585,8 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                 lam=lam,
                 beta=beta,
                 gamma=gamma,
-                alpha_witness=wit_a,
-                lambda_witness=wit_l,
+                alpha_profile=prof_a,
+                lambda_profile=prof_l,
                 attains_bw_bound=(beta == bound),
                 attains_io_bound=(gamma == bound),
             )

@@ -383,3 +383,22 @@ def test_subspace_at_inverts_the_enumeration(q, d, k):
     for i in (-1, total):
         with pytest.raises(IndexError):
             subspace_at(f, d, k, i)
+
+
+@pytest.mark.parametrize("q, d, k", [(3, 6, 3), (2, 4, 2)])
+def test_subspace_at_reads_its_count_off_the_pivot_sets(q, d, k, monkeypatch):
+    # the count is the last pivot set's start plus its size, so no call
+    # recomputes the Gaussian binomial; both ends out of range still raise
+    # IndexError naming the count
+    f = field_of_order(q)
+    total = gaussian_binomial(d, k, q)
+    last = list(enumerate_subspaces(f, d, k))[-1]
+
+    def refuse(*args):
+        raise AssertionError("subspace_at recomputed the Gaussian binomial")
+
+    monkeypatch.setattr(linalg, "gaussian_binomial", refuse)
+    assert subspace_at(f, d, k, total - 1) == last
+    for i in (-1, total):
+        with pytest.raises(IndexError, match=rf"^subspace {i} out of range for {total} subspaces$"):
+            subspace_at(f, d, k, i)

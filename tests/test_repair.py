@@ -1,7 +1,9 @@
 import bisect
 import dataclasses
+import functools
 import gc
 import itertools
+import operator
 import random
 import re
 import sys
@@ -351,21 +353,25 @@ def _witness_mix():
 
 
 def test_report_witnesses_match_standalone_witnesses():
-    # the report profiles each distinct W once and shares it across nodes;
-    # every witness still equals the one make_witness builds on its own
+    # the report profiles each distinct W once and shares it across nodes,
+    # and builds each witness from its W's profile when it is read; every
+    # witness still equals the one make_witness builds on its own, and the
+    # one make_witnesses builds over all the report's (node, W) pairs
     checked = set()
-    for code in _witness_mix():
+    for code in _witness_mix() + _differential_codes():
         for budget in (10**7, 50, 7):
             try:
                 rep = repair_report(code, budget=budget)
             except BudgetExceededError:
                 continue
             checked.add(rep.exhaustive)
-            for nd in rep.nodes:
-                for got in (nd.alpha_witness, nd.lambda_witness):
-                    want = make_witness(code, nd.node, got.space)
-                    for f in dataclasses.fields(RepairWitness):
-                        assert getattr(got, f.name) == getattr(want, f.name), f.name
+            got = [w for nd in rep.nodes for w in (nd.alpha_witness, nd.lambda_witness)]
+            batch = make_witnesses(code, [(w.node, w.space) for w in got])
+            assert len(batch) == len(got) == 2 * code.n
+            for g, b in zip(got, batch):
+                want = make_witness(code, g.node, g.space)
+                for f in dataclasses.fields(RepairWitness):
+                    assert getattr(g, f.name) == getattr(want, f.name) == getattr(b, f.name), f.name
     assert checked == {True, False}
 
 
@@ -454,6 +460,170 @@ def test_memoised_member_planes_match_a_fresh_incidence():
                 dim = _count(dims, pos)
                 assert sum(inc[b] >> pos & 1 for b in node_points) == (f.q**dim - 1) // (f.q - 1)
                 assert _count(captured, pos) == sum(inc[b] >> pos & 1 for b in column_points)
+
+
+def _max_first(planes, live):
+    """The largest count over the positions of live, and the lowest position holding it.
+
+    Narrows live plane by plane from the most significant one, keeping the
+    positions whose count has the bit whenever any of them does: the
+    per-node narrowing the scan's level descent replaced.
+    """
+    value = 0
+    for k in range(len(planes) - 1, -1, -1):
+        hit = live & planes[k]
+        if hit:
+            live = hit
+            value |= 1 << k
+    return value, (live & -live).bit_length() - 1
+
+
+def _narrowing_scan(code, budget):
+    """Per node both maxima by _max_first over the node's misses, block by block.
+
+    The members' counts are summed one plane at a time by _add_bit over
+    the streamed incidence, and blocks merge with a strict >.  Returns
+    both maxima per node, each with its first maximizer rebuilt by
+    subspace_at, the candidate count, the scanned count, and how many
+    node maxima a later block tied.
+    """
+    f, d = code.field, code.ambient_dim
+    wdim = (code.r - 1) * code.ell
+    total = gaussian_binomial(d, wdim, f.q)
+    tops = [linalg.projective_point_count(t, f.q).bit_length() - 1 for t in range(1, code.ell + 1)]
+    numbers = [
+        (list(repair._bits(h.point_mask)), list(repair._bits(linalg.points_mask(f, d, plist))))
+        for h, plist in zip(code.node_subspaces, code.column_points)
+    ]
+    best_dim, best_pts = {}, {}
+    scanned = ties = 0
+    for start, length, inc in incidence_blocks(f, d, wdim, min(budget, total), repair._CHUNK):
+        dim_total = [0] * (code.ell * code.n).bit_length()
+        pts_total = [0] * (code.ell * code.n).bit_length()
+        meets = []
+        for node_points, column_points in numbers:
+            dims, captured = repair._member_planes(inc, node_points, column_points, tops)
+            for k, x in enumerate(dims):
+                repair._add_bit(dim_total, x, k)
+            for k, x in enumerate(captured):
+                repair._add_bit(pts_total, x, k)
+            meets.append(functools.reduce(operator.or_, dims, 0))
+        live = (1 << length) - 1
+        for i in range(code.n):
+            miss = live & ~meets[i]
+            if not miss:
+                continue
+            for best, totals in ((best_dim, dim_total), (best_pts, pts_total)):
+                value, pos = _max_first(totals, miss)
+                if i not in best or value > best[i][0]:
+                    best[i] = (value, start + pos)
+                elif value == best[i][0]:
+                    ties += 1
+        scanned += length
+    spaces = [
+        {i: (value, subspace_at(f, d, wdim, pos)) for i, (value, pos) in best.items()}
+        for best in (best_dim, best_pts)
+    ]
+    return (*spaces, total, scanned), ties
+
+
+def _descent_codes():
+    """_differential_codes() and seeded random codes at five (q, ell, r), two lengths each."""
+    rng = random.Random(40)
+    codes = _differential_codes()
+    for q, ell, r in ((2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 3)):
+        for n in (r + 1, r + 2):
+            codes.append(random_mds_code(field_of_order(q), r, ell, n, rng))
+    return codes
+
+
+def test_level_descent_matches_per_node_narrowing(monkeypatch):
+    # per node both maxima and both first maximizers of the scan's shared
+    # level descent equal per-node narrowing over the node's misses: over
+    # the whole cached incidence, and streamed in blocks of 64 under a cut
+    # budget, where some node's maximum is tied in a later block and the
+    # earlier block must keep it
+    codes = _descent_codes()
+    for code in codes:
+        want, _ = _narrowing_scan(code, 10**7)
+        assert _scan(code, 10**7) == want
+    monkeypatch.setattr(repair, "_CHUNK", 64)
+    ties = 0
+    for code in codes:
+        total = gaussian_binomial(code.ambient_dim, (code.r - 1) * code.ell, code.field.q)
+        for budget in (total - 1, total // 2):
+            want, tied = _narrowing_scan(code, budget)
+            ties += tied
+            assert _scan(code, budget) == want
+    assert ties
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    total=st.lists(st.integers(0, 255), max_size=4),
+    planes=st.lists(st.integers(0, 255), max_size=4),
+)
+@example(total=[1], planes=[1])  # a carry out of the top plane
+@example(total=[255, 255], planes=[255, 255, 255])
+@example(total=[], planes=[3, 0])
+def test_add_planes_is_repeated_add_bit(total, planes):
+    # one carry pass adds the whole bit-sliced count: the same planes as
+    # adding plane k at plane k by _add_bit, and every position's count is
+    # the sum of both
+    want = total + [0] * (len(planes) - len(total))
+    for k, x in enumerate(planes):
+        repair._add_bit(want, x, k)
+    got = list(total)
+    repair._add_planes(got, planes)
+    assert got == want
+    for pos in range(8):
+        assert _count(got, pos) == _count(total, pos) + _count(planes, pos)
+
+
+def _planted(target, node, fault):
+    """_rank_profile with one fault in the profile of the repair subspace target.
+
+    "failed" gives node, repaired through target, a dimension 1; "dim" and
+    "zero" raise by one the dimension, or move by one the count of
+    captured column points, of the first node target meets.
+    """
+
+    def profile(code, w):
+        dims, zs, matrix = _rank_profile(code, w)
+        if w == target:
+            met = next(j for j, d in enumerate(dims) if d)
+            if fault == "failed":
+                dims[node] = 1
+            elif fault == "dim":
+                dims[met] += 1
+            else:
+                zs[met] += 1 if zs[met] < code.ell else -1
+        return dims, zs, matrix
+
+    return profile
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("failed", ValueError, "repair subspace meets the failed node's subspace"),
+        ("dim", AssertionError, "node {node}: the mask scan and the rank oracle disagree on bw"),
+        ("zero", AssertionError, "node {node}: the mask scan and the rank oracle disagree on io"),
+    ],
+)
+def test_planted_profile_faults_still_raise(fault, error, message, monkeypatch):
+    # the per-node checks read each W's one profile: a planted dimension at
+    # the failed node, a helper dimension one off, or a captured count one
+    # off in the profile of one W fails the first node repaired through it
+    for code in (_spread_code(3, 6), build_two_parity_code(3, 2, 8)[0]):
+        rep = repair_report(code)
+        witness = "lambda_witness" if fault == "zero" else "alpha_witness"
+        target = getattr(rep.nodes[-1], witness).space
+        node = min(nd.node for nd in rep.nodes if getattr(nd, witness).space == target)
+        with monkeypatch.context() as m:
+            m.setattr(repair, "_rank_profile", _planted(target, node, fault))
+            with pytest.raises(error, match=f"^{re.escape(message.format(node=node))}$"):
+                repair_report(code)
 
 
 def _reports(code, budgets):
