@@ -81,11 +81,11 @@ def _load_code(path: str | None) -> ArrayCode:
     try:
         text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"cannot read code file: {exc}")
+        raise ValueError(f"cannot read code file: {exc}") from exc
     try:
         return deserialize(text)
     except ValueError as exc:
-        raise SystemExit(f"not a readable code file: {exc}")
+        raise ValueError(f"not a readable code file: {exc}") from exc
 
 
 def _emit_code(code: ArrayCode, out: str | None) -> None:
@@ -183,7 +183,7 @@ def _read_family(path: str) -> list[frozenset]:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"cannot read family file: {exc}")
+        raise ValueError(f"cannot read family file: {exc}") from exc
     blocks = []
     for line in text.splitlines():
         line = line.strip()
@@ -191,10 +191,10 @@ def _read_family(path: str) -> list[frozenset]:
             continue
         try:
             blocks.append(frozenset(_parse_label(t) for t in line.split()))
-        except ValueError:
-            raise SystemExit(f"bad block line: {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"bad block line: {line!r}") from exc
     if not blocks:
-        raise SystemExit("family file holds no blocks")
+        raise ValueError("family file holds no blocks")
     return blocks
 
 
@@ -273,7 +273,7 @@ def _cmd_bound(a: argparse.Namespace) -> int:
     # |bound| <= max(ell*(n-1), q^((r-1)*ell)): both are sized before the power is taken
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     if (a.r - 1) * a.ell >= limit / math.log10(a.q) or abs(a.ell * a.n) >= 10**limit:
-        raise SystemExit(f"the bound would pass the {limit} digit limit on printed integers")
+        raise ValueError(f"the bound would pass the {limit} digit limit on printed integers")
     print(counting_bound(a.n, a.r, a.ell, a.q))
     return 0
 
@@ -291,7 +291,7 @@ def _cmd_verify(a: argparse.Namespace) -> int:
     code = _load_code(a.code)
     check = is_mds(code)
     if check.ok is None:
-        raise SystemExit(
+        raise ValueError(
             f"{code.n} choose {code.r} = {math.comb(code.n, code.r)} block subsets "
             f"exceed the MDS check's cap of {MDS_CAP}"
         )
@@ -327,7 +327,7 @@ def _cmd_geometry(a: argparse.Namespace) -> int:
         spread = desarguesian_spread(a.q, 2)
         idx = a.members
         if len(set(idx)) != 3 or not all(0 <= i < len(spread) for i in idx):
-            raise SystemExit("need three distinct member indices in range")
+            raise ValueError("need three distinct member indices in range")
         reg = regulus_through(*(spread.members[i] for i in idx))
         inside = sum(1 for line in reg.lines if line in spread.members)
         print(
@@ -389,7 +389,7 @@ def _cmd_check(a: argparse.Namespace) -> int:
 def _cmd_simulate(a: argparse.Namespace) -> int:
     code = _load_code(a.code)
     if not 0 <= a.node < code.n:
-        raise SystemExit(f"node must lie in [0, {code.n})")
+        raise ValueError(f"node must lie in [0, {code.n})")
     _, witness = optimal_alpha(code, a.node, budget=a.budget)
     failures = 0
     for t in range(a.trials):
@@ -426,11 +426,6 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _HANDLERS[ns.command](ns)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        print(f"mdsrepair: error: {exc.code}", file=sys.stderr)
-        return 1
     except (ValueError, BudgetExceededError, SamplingExhaustedError) as exc:
         print(f"mdsrepair: error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,6 @@ from .geometry import (
     INF,
     Label,
     Spread,
-    _field_spread,
     desarguesian_member,
     desarguesian_spread,
     hit_set_counts,
@@ -266,7 +265,7 @@ def build_exceptional(case: str) -> tuple[ArrayCode, tuple[RepairWitness, ...]]:
     except KeyError:
         raise ValueError(f"unknown case {case!r}") from None
     ext = make_extension(field_of_order(q), 2)
-    spread = _field_spread(ext)
+    spread = desarguesian_spread(q, 2)
     probes = tuple(w_g_subspace(ext, g) for g in _EXC_GENS[q])
     for w, g, hits in zip(probes, _EXC_GENS[q], _EXC_HITS[q]):
         if hit_set(w, spread, ext, g=g) != hits:

@@ -68,15 +68,12 @@ def desarguesian_member(ext: ExtensionCtx, label: Label) -> Subspace:
     return pair_span(ext, ((e, ext.top.mul(label, e)) for e in ext.basis))
 
 
-def _field_spread(ext: ExtensionCtx) -> Spread:
+def desarguesian_spread(q: int, ell: int) -> Spread:
+    """The field spread {(x, c*x) : c} plus {(0, y)}, one member per label."""
+    ext = make_extension(field_of_order(q), ell)
     labels: tuple[Label, ...] = tuple(ext.top.elements()) + (INF,)
     members = tuple(desarguesian_member(ext, lab) for lab in labels)
     return Spread(ext.base, ext.ell, members, labels)
-
-
-def desarguesian_spread(q: int, ell: int) -> Spread:
-    """The field spread {(x, c*x) : c} plus {(0, y)}, one member per label."""
-    return _field_spread(make_extension(field_of_order(q), ell))
 
 
 @dataclass(frozen=True)

@@ -96,16 +96,20 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
 
 
 class FieldCtx:
-    """A concrete GF(p^m) with a fixed modulus and fixed element encoding."""
+    """A concrete GF(p^m) with a fixed modulus and fixed element encoding.
 
-    __slots__ = ("p", "m", "q", "modulus", "add_tab", "sub_tab", "mul_tab", "inv_tab", "_hash")
+    Build it through make_field or field_of_order, never directly: those
+    intern one object per (p, m, modulus), so fields compare and hash by
+    identity.
+    """
+
+    __slots__ = ("p", "m", "q", "modulus", "add_tab", "sub_tab", "mul_tab", "inv_tab")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.q = p**m
         self.modulus = modulus
-        self._hash = hash((p, m, modulus))  # memo keys hash the field on every lookup
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -203,23 +207,13 @@ class FieldCtx:
     def to_poly(self, a: int) -> tuple[int, ...]:
         return tuple(_digits(a, self.p, self.m))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (  # _build_field interns fields, so this is the usual case
-            isinstance(other, FieldCtx)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
 
 @functools.lru_cache(maxsize=None)
 def _build_field(p: int, m: int, modulus: tuple[int, ...]) -> FieldCtx:
+    """The intern table of fields; it must never evict, as a field's identity is its equality."""
     return FieldCtx(p, m, modulus)
 
 
@@ -301,7 +295,8 @@ class ExtensionCtx:
     Coordinates refer to the power basis 1, y, .., y^(ell-1), y the class
     of x in the top field, held as `basis`: from_coords sums
     embed(v_j) * y^j, and to_coords is a lookup in the table of all q^ell
-    coordinate vectors, built once.
+    coordinate vectors, built once.  make_extension interns one object per
+    (base, ell), so extensions compare and hash by identity too.
     """
 
     __slots__ = (
@@ -412,23 +407,13 @@ class ExtensionCtx:
         """Coordinates of (a, b) in GF(q)^(2*ell) under the power basis."""
         return self.to_coords(a) + self.to_coords(b)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExtensionCtx)
-            and self.base == other.base
-            and self.top == other.top
-            and self.ell == other.ell
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.top, self.ell))
-
     def __repr__(self) -> str:
         return f"GF({self.top.q})/GF({self.base.q})"
 
 
 @functools.lru_cache(maxsize=None)
 def _build_extension(base: FieldCtx, ell: int, top: FieldCtx) -> ExtensionCtx:
+    """The intern table of extensions; like _build_field's, it must never evict."""
     return ExtensionCtx(base, top, ell)
 
 

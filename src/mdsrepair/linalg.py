@@ -418,8 +418,7 @@ def incidence_blocks(
     q = field.q
     d = ambient_dim
     add, mul = field.add_tab, field.mul_tab
-    points = [(0,) * lead + (1,) + tail for lead in range(d)
-              for tail in itertools.product(range(q), repeat=d - 1 - lead)]  # canonical order
+    points = [point_at(q, d, b) for b in range(projective_point_count(d, q))]
     for start, (pivots, _, free) in zip(*_pivot_sets(q, d, dim)):
         g = 0  # leading free cells fixed per block
         while q ** (len(free) - g) > chunk:

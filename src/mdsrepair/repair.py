@@ -678,7 +678,6 @@ class SweepResult:
     q: int
     ell: int
     r: int
-    trials_requested: int
     codes_tested: int
     sampling_failures: int
     nodes_checked: int
@@ -763,7 +762,6 @@ def verify_bound_sweep(
         q=q,
         ell=ell,
         r=r,
-        trials_requested=trials,
         codes_tested=codes,
         sampling_failures=failures,
         nodes_checked=nodes_checked,

@@ -126,6 +126,60 @@ def test_verify_unreadable_file_is_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (
+            ["verify", "mds", "--code", "{dir}/missing.json"],
+            {},
+            "cannot read code file: [Errno 2] No such file or directory: '{dir}/missing.json'",
+        ),
+        (
+            ["repair", "analyze", "--code", "{dir}/code.json"],
+            {"code.json": "{}"},
+            "not a readable code file: missing or malformed field: 'field'",
+        ),
+        (
+            ["check", "lemma-c1", "--family", "{dir}/missing.txt"],
+            {},
+            "cannot read family file: [Errno 2] No such file or directory: '{dir}/missing.txt'",
+        ),
+        (
+            ["check", "lemma-c1", "--family", "{dir}/family.txt"],
+            {"family.txt": "inf 0 1 2\n 0 x 2 \n"},
+            "bad block line: '0 x 2'",
+        ),
+        (
+            ["check", "lemma-c1", "--family", "{dir}/family.txt"],
+            {"family.txt": "# no blocks\n\n"},
+            "family file holds no blocks",
+        ),
+        (
+            ["geometry", "regulus", "--q", "3", "--members", "0", "1", "10"],
+            {},
+            "need three distinct member indices in range",
+        ),
+        (
+            ["simulate", "repair", "--code", "{dir}/code.json", "--node", "8"],
+            {"code.json": None},  # None: a stored (8, 6, 2) code over GF(3)
+            "node must lie in [0, 8)",
+        ),
+    ],
+    ids=["code-unreadable", "code-malformed", "family-unreadable", "family-bad-line",
+         "family-empty", "regulus-members", "simulate-node"],
+)
+def test_usage_errors_print_one_line_and_exit_1(capsys, tmp_path, argv, files, message):
+    for name, text in files.items():
+        if text is None:
+            text = serialize(build_two_parity_code(3, 2, 8)[0])
+        (tmp_path / name).write_text(text)
+    code, out, err = _run(capsys, [word.format(dir=tmp_path) for word in argv])
+    assert code == 1
+    assert out == ""
+    assert err == f"mdsrepair: error: {message.format(dir=tmp_path)}\n"
+    assert "Traceback" not in err
+
+
 def test_repair_analyze_table(capsys, tmp_path):
     path = tmp_path / "code.json"
     _run(capsys, ["construct", "exceptional", "--case", "q3n6", "--out", str(path)])

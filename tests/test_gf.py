@@ -15,7 +15,8 @@ from mdsrepair.gf import (
     make_field,
     prime_power,
 )
-from mdsrepair.constructions import _SWAP, mobius_image
+from mdsrepair.code import deserialize, serialize
+from mdsrepair.constructions import _SWAP, build_two_parity_code, mobius_image
 from mdsrepair.geometry import desarguesian_spread
 
 
@@ -157,9 +158,22 @@ def test_embed_pair_round_trip():
 
 
 def test_field_contexts_are_cached_and_comparable():
-    assert make_field(3, 2) is make_field(3, 2)
-    assert field_of_order(9) == make_field(3, 2)
-    assert make_field(2, 2) != make_field(2, 1)
+    # equality is identity, so every way to name a field must reach the same object
+    f9 = make_field(3, 2)
+    assert make_field(3, 2) is f9
+    assert make_field(3, 2, [1, 0, 1]) is f9  # x^2 + 1, the default modulus
+    assert field_of_order(9) is f9
+    assert "__eq__" not in vars(type(f9)) and "__hash__" not in vars(type(f9))
+    code, _ = build_two_parity_code(4, 2, 10)
+    assert deserialize(serialize(code)).field is code.field
+    ext = make_extension(field_of_order(3), 3)
+    assert make_extension(field_of_order(3), 3) is ext
+    assert "__eq__" not in vars(type(ext)) and "__hash__" not in vars(type(ext))
+    assert desarguesian_spread(3, 2).field is field_of_order(3)
+    distinct = [make_field(2), make_field(2, 2), make_field(3), f9, make_field(3, 2, [2, 2, 1])]
+    assert len(set(distinct)) == len(distinct)
+    assert all(a != b for a, b in itertools.combinations(distinct, 2))
+    assert make_extension(make_field(2, 1), 2) != make_extension(make_field(2, 1), 3)
 
 
 def test_is_irreducible_matches_sympy():
