@@ -115,9 +115,6 @@ class Regulus:
     lines: tuple[Subspace, ...]
     transversals: tuple[Subspace, ...]
 
-    def __contains__(self, line: Subspace) -> bool:
-        return line in self.lines
-
 
 def _pairwise_skew(lines) -> bool:
     return all(

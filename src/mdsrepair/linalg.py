@@ -387,39 +387,52 @@ def subspace_at(field: FieldCtx, ambient_dim: int, dim: int, index: int) -> Subs
     return Subspace(field, d, dim, entries, pivots)
 
 
+def require_cacheable(q: int, ambient_dim: int, dim: int) -> int:
+    """The number of dim dimensional subspaces of F_q^ambient_dim, refused above _CACHE_LIMIT.
+
+    There are at least q^(dim*(ambient_dim-dim)) of them, so a count that
+    exponent already puts over the limit is refused before it is taken.
+    """
+    if dim * (ambient_dim - dim) < _CACHE_LIMIT.bit_length():
+        total = gaussian_binomial(ambient_dim, dim, q)
+        if total <= _CACHE_LIMIT:
+            return total
+    raise BudgetExceededError(
+        f"the {dim}-subspaces of GF({q})^{ambient_dim} exceed the cache limit of {_CACHE_LIMIT}"
+    )
+
+
 @functools.lru_cache(maxsize=64)
 def all_subspaces(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[Subspace, ...]:
     """Cached tuple of every dim dimensional subspace, enumeration order."""
-    total = gaussian_binomial(ambient_dim, dim, field.q)
-    if total > _CACHE_LIMIT:
-        raise BudgetExceededError(
-            f"{total} subspaces exceed the cache limit of {_CACHE_LIMIT}"
-        )
+    require_cacheable(field.q, ambient_dim, dim)
     return tuple(enumerate_subspaces(field, ambient_dim, dim))
 
 
 def incidence_blocks(
-    field: FieldCtx, ambient_dim: int, dim: int, end: int, chunk: int
-) -> Iterator[tuple[int, int, list[int]]]:
-    """The point incidence of the first end dim dimensional subspaces, block by block.
+    field: FieldCtx, ambient_dim: int, dim: int, end: int, chunk: int, numbers: Iterable[int]
+) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """The given points' incidence with the first end dim dimensional subspaces, by block.
 
     Yields (start, length, rows): bit c of rows[b] is set when the subspace
-    at position start + c of enumerate_subspaces holds point number b.  A
-    block is a pivot set of _pivot_sets or, when that holds more than chunk
-    subspaces, a slice of it whose leading free cells are fixed; the block
-    holding end stops there.  No subspace is built: with pivots P, point p
-    lies in the subspace whose free cells hold x exactly when
-    sum_{i: P_i < j} p[P_i] x_ij = p_j for every non-pivot column j.  The
-    columns share no cell, so the positions through p form a sum set, one
-    term per column, and its bitset is the product of one sparse int per
-    column; every position arises once, so the product never carries.
+    at position start + c of enumerate_subspaces holds point number b, for
+    each b of numbers.  A block is a pivot set of _pivot_sets or, when that
+    holds more than chunk subspaces, a slice of it whose leading free cells
+    are fixed; the block holding end is the last.  No subspace is built:
+    with pivots P, point p lies in the subspace whose free cells hold x
+    exactly when sum_{i: P_i < j} p[P_i] x_ij = p_j for every non-pivot
+    column j.  The columns share no cell, so the positions through p form a
+    sum set, one term per column, and its bitset is the product of one
+    sparse int per column; every position arises once, so none carries.
     """
     _require_tables(field)
     q = field.q
     d = ambient_dim
     add, mul = field.add_tab, field.mul_tab
-    points = [point_at(q, d, b) for b in range(projective_point_count(d, q))]
+    points = {b: point_at(q, d, b) for b in numbers}
     for start, (pivots, _, free) in zip(*_pivot_sets(q, d, dim)):
+        if start >= end:
+            return
         g = 0  # leading free cells fixed per block
         while q ** (len(free) - g) > chunk:
             g += 1
@@ -432,8 +445,8 @@ def incidence_blocks(
         for lo, vals in zip(range(start, end, size), itertools.product(range(q), repeat=g)):
             span = [(v,) for v in vals] + [range(q)] * (len(free) - g)
             live = (1 << min(size, end - lo)) - 1  # the block stops at end
-            rows = []
-            for p in points:
+            rows = {}
+            for b, p in points.items():
                 row = 1
                 for j in cols:
                     coef = tuple([p[i] for i, _ in cells[j]])
@@ -449,7 +462,7 @@ def incidence_blocks(
                     row *= tab[p[j]]
                     if not row:
                         break
-                rows.append(row & live)
+                rows[b] = row & live
             yield lo, live.bit_length(), rows
 
 
@@ -458,17 +471,14 @@ def subspace_incidence(field: FieldCtx, ambient_dim: int, dim: int) -> tuple[int
     """incidence_blocks of every dim dimensional subspace, joined into one bitset per point.
 
     The cache holds the bitsets alone; subspace_at rebuilds any subspace
-    from its position.  Refused above _CACHE_LIMIT subspaces, where the
-    scan streams its own blocks.
+    from its position.  Refused by require_cacheable, where the scan
+    streams its own blocks.
     """
-    total = gaussian_binomial(ambient_dim, dim, field.q)
-    if total > _CACHE_LIMIT:
-        raise BudgetExceededError(
-            f"{total} subspaces exceed the cache limit of {_CACHE_LIMIT}"
-        )
-    rows = [0] * projective_point_count(ambient_dim, field.q)
-    for start, _, block in incidence_blocks(field, ambient_dim, dim, total, total):
-        for b in range(len(rows)):
+    total = require_cacheable(field.q, ambient_dim, dim)
+    points = range(projective_point_count(ambient_dim, field.q))
+    rows = [0] * len(points)
+    for start, _, block in incidence_blocks(field, ambient_dim, dim, total, total, points):
+        for b in points:
             rows[b] |= block[b] << start
             block[b] = 0  # drop each part once joined, so two whole copies never coexist
     return tuple(rows)

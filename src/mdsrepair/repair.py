@@ -34,6 +34,7 @@ from .linalg import (
     incidence_blocks,
     points_mask,
     projective_point_count,
+    require_cacheable,
     subspace_at,
     subspace_incidence,
     subspace_sum,
@@ -440,7 +441,9 @@ def _scan(
     if cached:
         blocks: Iterable = [(0, total, subspace_incidence(f, d, wdim))]
     else:
-        blocks = incidence_blocks(f, d, wdim, min(budget, total), _CHUNK)
+        # column points lie in their nodes, so the nodes' points are every row read
+        wanted = _bits(reduce(or_, [h.point_mask for h in code.node_subspaces]))
+        blocks = incidence_blocks(f, d, wdim, min(budget, total), _CHUNK, wanted)
     # node -> the numbers of its points and of its column points, on its first miss
     numbers: dict[int, tuple[list[int], list[int]]] = {}
     for start, length, inc in blocks:
@@ -521,12 +524,12 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
     BudgetExceededError.  After the scan the rank oracle runs once per
     distinct winning W, and every node's checks read that W's profile:
     the W misses H_i, both costs equal the scan's maxima, and lambda <=
-    alpha.  An exhaustive report also asserts the capacity invariants and
-    beta >= bound, which hold when the node subspaces pairwise meet
-    trivially, as every MDS code's do (a code repeating a node can break
-    them).  For r >= 3 and ell >= 2 the bound is negative at every MDS
-    length, so beta > bound goes unchecked.  Each node's witnesses are
-    built from the profiles when they are read.
+    alpha.  An exhaustive report also asserts alpha <= the point count of
+    W, which is beta >= bound, and at that count helper meets of at most a
+    line; both hold when the node subspaces pairwise meet trivially, as
+    every MDS code's do (a code repeating a node can break them).  For r
+    >= 3 and ell >= 2 the bound is negative at every MDS length, so beta >
+    bound goes unchecked.  Witnesses are built from the profiles when read.
     """
     if code.n < 2:
         raise ValueError("repair needs at least one helper, so n >= 2")
@@ -572,12 +575,6 @@ def repair_report(code: ArrayCode, *, budget: int = DEFAULT_ENUM_BUDGET) -> Repa
                 raise AssertionError(
                     f"node {i}: bound attained but a helper intersection exceeds dim 1"
                 )
-            if alpha == cap and code.n < 1 + cap:
-                raise AssertionError(
-                    f"node {i}: bound attained with n={code.n} < {1 + cap} helpers+1"
-                )
-            if beta < bound:
-                raise AssertionError(f"node {i}: bandwidth {beta} undercuts the bound {bound}")
         summaries.append(
             NodeRepair(
                 node=i,
@@ -629,9 +626,9 @@ def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Rando
     samples exactly as a walk over a shuffled pool that keeps every
     candidate that fits: spans only grow, so a candidate the walk skipped
     stays out, and its next member, the first fitting candidate of a
-    uniform order, is a uniform draw among those that fit now.  The
-    finished family is still verified by is_mds, whose rank-based check
-    stays the independent oracle.
+    uniform order, is a uniform draw among those that fit now.  So a
+    finished family that is_mds, the independent rank-based oracle,
+    rejects is a sampler fault, raised as AssertionError.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -665,8 +662,9 @@ def random_mds_code(field: FieldCtx, r: int, ell: int, n: int, rng: random.Rando
             continue
         code = code_from_intrinsic(tuple(family))
         chk = is_mds(code)
-        if chk.ok:
-            return code
+        if chk.status == "not_mds":
+            raise AssertionError(f"the sampler drew dependent blocks {chk.failing_subset}")
+        return code
     raise SamplingExhaustedError(
         f"no MDS code found for q={field.q}, r={r}, ell={ell}, n={n} "
         f"after {_RETRY_CAP} attempts"
@@ -716,14 +714,7 @@ def verify_bound_sweep(
     if r < 2 or ell < 1:
         raise ValueError("need r >= 2 and ell >= 1")
     field = field_of_order(q)
-    # the pool holds at least q^((r-1)*ell*ell) subspaces: refuse a large one uncounted
-    if (r - 1) * ell * ell >= linalg._CACHE_LIMIT.bit_length() or (
-        gaussian_binomial(r * ell, ell, q) > linalg._CACHE_LIMIT
-    ):
-        raise BudgetExceededError(
-            f"the {ell}-subspaces of GF({q})^{r * ell} exceed the cache limit "
-            f"of {linalg._CACHE_LIMIT}"
-        )
+    require_cacheable(q, r * ell, ell)
     if n_values is None:
         n_values = list(range(r + 1, length_bound(q, ell, r) + 1))
     if not n_values:

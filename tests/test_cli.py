@@ -536,10 +536,17 @@ def test_strictness_pool_over_the_cache_limit_is_exit_1(ell):
 
 
 def test_check_strictness_reports_a_failed_report_as_a_violation(capsys, monkeypatch):
-    # the bound raised by 11, one past the smallest slack of these five codes,
-    # is undercut: that report raises, and the sweep keeps it as a violation
-    bound = repair.counting_bound
-    monkeypatch.setattr(repair, "counting_bound", lambda *args: bound(*args) + 11)
+    # an oracle that counts one more captured column point in every W fails
+    # the I/O cross-check: the reports raise, and the sweep keeps them as
+    # violations
+    profile = repair._rank_profile
+
+    def one_more_point(code, w):
+        dims, zs, matrix = profile(code, w)
+        zs[zs.index(max(zs))] += 1
+        return dims, zs, matrix
+
+    monkeypatch.setattr(repair, "_rank_profile", one_more_point)
     code, out, err = _run(capsys, ["check", "strictness", "--q", "2", "--r", "3", "--trials", "5"])
     assert code == 2
     assert err == ""

@@ -385,6 +385,30 @@ class _CountingRng:
         return counted
 
 
+def test_random_mds_code_fails_loudly_on_a_rejected_family(monkeypatch):
+    # the live set makes every finished family r-wise independent, so an
+    # is_mds rejection is a sampler fault, never a retry; past the cap
+    # is_mds gives no verdict, and the first finished family is returned
+    field = field_of_order(3)
+    verdicts = []
+
+    def verdict(check):
+        def patched(code):
+            verdicts.append(check)
+            return check
+
+        return patched
+
+    monkeypatch.setattr(repair, "is_mds", verdict(MdsCheck("not_mds", 1, (0, 1))))
+    with pytest.raises(AssertionError, match=r"^the sampler drew dependent blocks \(0, 1\)$"):
+        random_mds_code(field, 2, 2, 5, random.Random(7))
+    assert len(verdicts) == 1
+    verdicts.clear()
+    monkeypatch.setattr(repair, "is_mds", verdict(MdsCheck("cap_exceeded", 0)))
+    assert random_mds_code(field, 2, 2, 5, random.Random(7)).n == 5
+    assert len(verdicts) == 1
+
+
 def test_random_mds_code_exhaustion(monkeypatch):
     field = field_of_order(2)
     monkeypatch.setattr(repair, "_RETRY_CAP", 3)

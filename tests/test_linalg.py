@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from mdsrepair import linalg
 from mdsrepair._kernel import rre_rank, rref_rank
 from mdsrepair.gf import field_of_order
 from mdsrepair.linalg import (
+    BudgetExceededError,
     MatrixGF,
     Subspace,
     all_subspaces,
@@ -25,6 +27,7 @@ from mdsrepair.linalg import (
     projective_point_count,
     projective_points,
     rank,
+    require_cacheable,
     rref,
     subspace_at,
     subspace_intersection,
@@ -341,29 +344,53 @@ def test_subspace_incidence_is_the_transpose_of_point_masks(q, d, k):
     assert list(linalg.subspace_incidence(f, d, k)) == _transposed_masks(f, d, k, total)
 
 
+@pytest.mark.parametrize("cached", [linalg.subspace_incidence, all_subspaces])
+def test_a_pool_over_the_cache_limit_is_refused_uncounted(cached):
+    # [600, 300]_2 has over 27,000 digits: the refusal never counts it, so
+    # it neither takes long nor meets int-to-str's digit limit
+    started = time.perf_counter()
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^the 300-subspaces of GF\(2\)\^600 exceed the cache limit of 500000$",
+    ):
+        cached(field_of_order(2), 600, 300)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_require_cacheable_counts_below_the_limit_and_refuses_above():
+    assert require_cacheable(2, 6, 3) == gaussian_binomial(6, 3, 2) == 1395
+    # 2 * 2 free cells cannot settle it, the count of 17,047,617 does
+    assert gaussian_binomial(4, 2, 64) > linalg._CACHE_LIMIT
+    with pytest.raises(BudgetExceededError, match=r"^the 2-subspaces of GF\(64\)\^4 exceed"):
+        require_cacheable(64, 4, 2)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_incidence_blocks_match_the_transposed_masks(q):
     # blocks tile [0, end) in order, each one slice of one pivot set of at
     # most chunk subspaces; ends fall inside a block and inside a split
-    # pivot set (the first, of q^4 subspaces)
+    # pivot set (the first, of q^4 subspaces); a block holds the rows of the
+    # points asked for, every point or every third one, by point number
     f = field_of_order(q)
     total = gaussian_binomial(4, 2, q)
     want = _transposed_masks(f, 4, 2, total)
     starts = linalg._pivot_sets(q, 4, 2)[0]
-    for chunk in (1, 5, q * q):
-        for end in (1, 2, 7, q**3 + 1, total - 1, total):
-            rows = [0] * len(want)
-            pos = 0
-            for start, length, block in incidence_blocks(f, 4, 2, end, chunk):
-                assert start == pos and 0 < length <= chunk
-                k = bisect.bisect_right(starts, start) - 1
-                assert start + length <= (starts + (total,))[k + 1]
-                for b, row in enumerate(block):
-                    assert row >> length == 0
-                    rows[b] |= row << start
-                pos += length
-            assert pos == end
-            assert rows == [row & ((1 << end) - 1) for row in want]
+    for numbers in (range(len(want)), range(len(want) - 1, 0, -3)):
+        for chunk in (1, 5, q * q):
+            for end in (1, 2, 7, q**3 + 1, total - 1, total):
+                rows = dict.fromkeys(numbers, 0)
+                pos = 0
+                for start, length, block in incidence_blocks(f, 4, 2, end, chunk, numbers):
+                    assert start == pos and 0 < length <= chunk
+                    k = bisect.bisect_right(starts, start) - 1
+                    assert start + length <= (starts + (total,))[k + 1]
+                    assert block.keys() == rows.keys()
+                    for b, row in block.items():
+                        assert row >> length == 0
+                        rows[b] |= row << start
+                    pos += length
+                assert pos == end
+                assert rows == {b: want[b] & ((1 << end) - 1) for b in numbers}
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from mdsrepair.linalg import (
     intersect_dim,
     kernel,
     proj_point,
+    projective_points,
     rank,
     subspace_at,
 )
@@ -235,6 +236,15 @@ def test_scan_matches_reference_scan(budget, monkeypatch):
         assert got == want
 
 
+def test_counting_bound_is_the_point_capacity_below_the_full_download():
+    # bound = ell*(n-1) - theta and beta = ell*(n-1) - alpha, so alpha <= theta,
+    # the report's one capacity check, is the whole bound check beta >= bound
+    for code in _differential_codes():
+        report = repair_report(code)
+        n, ell = code.n, code.ell
+        assert counting_bound(n, code.r, ell, code.field.q) == ell * (n - 1) - report.point_capacity
+
+
 def _clear_memos():
     """Empty the member-plane and block-rank memos, so that the next report runs cold."""
     repair._planes_memo.clear()
@@ -247,7 +257,8 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
     cached = repair_report(code)
     ref_dim, ref_pts, total, _ = _reference_scan(code, 10**7)
     chunk = 7
-    blocks = incidence_blocks(code.field, code.ambient_dim, code.ell, total, chunk)
+    points = range(linalg.projective_point_count(code.ambient_dim, code.field.q))
+    blocks = incidence_blocks(code.field, code.ambient_dim, code.ell, total, chunk, points)
     starts = [lo for lo, _, _ in blocks]
     # every maximizer position per node and objective, from the rank profile
     spaces = all_subspaces(code.field, code.ambient_dim, code.ell)
@@ -272,6 +283,25 @@ def test_streamed_blocks_match_the_cached_scan(monkeypatch):
     assert repair_report(code) == cached
     for budget in (10**7, 30):
         assert _scan(code, budget) == _reference_scan(code, budget)
+
+
+def test_a_streamed_scan_lists_only_the_code_points(monkeypatch):
+    # a budget-cut report streams the incidence of the points its nodes and
+    # column points read, each listed once: 16 of the 40 points of PG(3, 3)
+    code = _spread_code(3, 4)
+    wanted = {p for h in code.node_subspaces for p in projective_points(h)}
+    wanted |= {p for plist in code.column_points for p in plist}
+    listed = []
+    point_at = linalg.point_at
+
+    def counting(*args):
+        listed.append(point_at(*args))
+        return listed[-1]
+
+    monkeypatch.setattr(linalg, "point_at", counting)
+    _clear_memos()
+    assert not repair_report(code, budget=100).exhaustive
+    assert len(listed) == len(wanted) == 16 and set(listed) == wanted
 
 
 @settings(
@@ -497,7 +527,9 @@ def _narrowing_scan(code, budget):
     ]
     best_dim, best_pts = {}, {}
     scanned = ties = 0
-    for start, length, inc in incidence_blocks(f, d, wdim, min(budget, total), repair._CHUNK):
+    points = range(linalg.projective_point_count(d, f.q))
+    blocks = incidence_blocks(f, d, wdim, min(budget, total), repair._CHUNK, points)
+    for start, length, inc in blocks:
         dim_total = [0] * (code.ell * code.n).bit_length()
         pts_total = [0] * (code.ell * code.n).bit_length()
         meets = []
@@ -1044,13 +1076,13 @@ def test_sweep_records_the_bound_range_and_vacuity():
 
 
 def test_sweep_records_a_failed_report_as_a_violation(monkeypatch):
-    # a bound raised by 1 undercuts the attaining nodes of (2, 2, 2) codes: the
-    # report raises, and the sweep keeps its message as that code's violation
+    # an oracle one dimension short fails the bandwidth cross-check of a
+    # (2, 2, 2) code: the report raises, and the sweep keeps its message as
+    # that code's violation
     n, seed = 4, 0
-    bound = repair.counting_bound
-    monkeypatch.setattr(repair, "counting_bound", lambda *args: bound(*args) + 1)
+    monkeypatch.setattr(repair, "_rank_profile", _oracle_one_lower(0))
     code = random_mds_code(field_of_order(2), 2, 2, n, random.Random(seed))
-    with pytest.raises(AssertionError, match="undercuts the bound") as exc:
+    with pytest.raises(AssertionError, match="disagree on bw") as exc:
         repair_report(code)
     res = verify_bound_sweep(2, 2, 2, trials=1, seed=seed, n_values=[n])
     assert res.ok is False
